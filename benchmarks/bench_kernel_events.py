@@ -16,7 +16,9 @@ events per wall-second.  The numbers land in two places:
 
 The *simulated* side is asserted exactly (event count and completed I/Os
 are pure functions of the workload); the *wall-clock* side is recorded,
-not asserted — machine speed is not a correctness property.
+not asserted — machine speed is not a correctness property.  Each entry
+also records the host (CPU count and Python version), so a wall-clock
+delta between entries names the machines it came from.
 
 To profile the kernel on this exact workload, run this file as a script
 under cProfile (see :func:`common.profile_once` for the in-process
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 
 from common import OUT_DIR, format_table, once, save_output
@@ -40,7 +43,7 @@ from repro.workloads import FioJob, FioSpec
 
 #: Bump when the reference workload changes — baselines only compare
 #: within one workload version.
-WORKLOAD_VERSION = 1
+WORKLOAD_VERSION = 2
 RUNTIME_NS = 200 * MS
 SEED = 42
 
@@ -81,6 +84,8 @@ def run_reference_workload() -> dict:
         "wall_s": round(wall_s, 4),
         "events_per_sec": round(dep.sim.events_processed / wall_s, 1),
         "sim_time_ratio": round((dep.sim.now / 1e9) / wall_s, 4),
+        "cpus": os.cpu_count() or 1,
+        "python": platform.python_version(),
     }
 
 

@@ -37,7 +37,7 @@ from repro.sim import MS
 
 #: Bump when the reference fleet changes — baselines only compare
 #: within one fleet version.
-FLEET_VERSION = 1
+FLEET_VERSION = 2
 DEPLOYMENTS = 4
 RUNTIME_NS = 10 * MS
 SEED = 42

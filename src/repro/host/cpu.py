@@ -17,7 +17,6 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.engine import Simulator
-from ..sim.events import Signal
 
 _busy_until = attrgetter("busy_until")
 
@@ -54,12 +53,6 @@ class CpuCore:
         if callback is not None:
             self.sim.schedule_at_fire(done, callback, *args)
         return done
-
-    def submit_signal(self, cost_ns: int, name: str = "cpu-done") -> Signal:
-        """Like :meth:`submit` but returns a Signal processes can wait on."""
-        signal = Signal(name)
-        self.submit(cost_ns, signal.fire, None)
-        return signal
 
     @property
     def queue_delay_ns(self) -> int:

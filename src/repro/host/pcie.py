@@ -13,7 +13,6 @@ from typing import Any, Callable, Optional
 
 from ..profiles import bytes_time_ns
 from ..sim.engine import Simulator
-from ..sim.events import Signal
 
 
 class PcieLink:
@@ -53,11 +52,6 @@ class PcieLink:
         if callback is not None:
             self.sim.schedule_at(done, callback, *args)
         return done
-
-    def transfer_signal(self, size_bytes: int, name: str = "pcie-done") -> Signal:
-        signal = Signal(name)
-        self.transfer(size_bytes, signal.fire, None)
-        return signal
 
     @property
     def queue_delay_ns(self) -> int:

@@ -10,42 +10,16 @@ A :class:`Link` is a full-duplex cable built from two independent
 
 Receivers are any object with ``receive(packet, ingress)`` where ``ingress``
 is the channel the packet arrived on.
-
-Fast path
----------
-
-Moving one packet across a channel historically cost two simulator
-events: a serialization-finish at ``t_f = start + wire`` and a delivery
-at ``t_d = t_f + propagation``.  On an uncontended line nothing observes
-the instant ``t_f`` — the finish event existed only to bump tx counters
-and poll an empty queue — so the fast path folds both into a single
-*combined* event at ``t_d`` and lazily settles the tx statistics (they
-are re-derived on read for any observer that looks between ``t_f`` and
-``t_d``).  The folded finish is accounted to
-:meth:`repro.sim.engine.Simulator.credit_events`, keeping
-``events_processed`` — and every artifact embedding it — identical to
-the two-event execution.  When the line *is* contended (another frame is
-queued behind the one in flight), the finish event is materialized at
-exactly ``t_f`` so the next serialization starts on time, reproducing
-the legacy event-for-event behaviour.
-
-Set ``REPRO_LINK_FASTPATH=0`` to force the legacy two-event path
-(cross-checked by ``tests/test_net.py``).
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from typing import List, Optional, Protocol, Tuple
+from typing import Protocol
 
 from ..profiles import bytes_time_ns
 from ..sim.engine import Simulator
 from .packet import Packet
 from .queue import DropTailQueue
-
-#: Environment escape hatch: set to ``0`` to disable event coalescing.
-FASTPATH_ENV = "REPRO_LINK_FASTPATH"
 
 #: Monotonic generation counter for link-state-derived caches (switch
 #: route candidates, endpoint live-uplink lists).  Bumped on every
@@ -60,29 +34,6 @@ class Receiver(Protocol):
     name: str
 
     def receive(self, packet: Packet, ingress: "Channel") -> None: ...
-
-
-class _InFlight:
-    """A frame between serialization start and delivery.
-
-    ``materialized`` — a real finish event exists at ``finish_ns``
-    (scheduled because another frame queued up behind this one, or the
-    line was already contended when it started).  ``up_at_finish`` is
-    recorded by that event; un-materialized frames reconstruct the
-    channel state at ``finish_ns`` from the up/down transition log.
-    """
-
-    __slots__ = (
-        "packet", "finish_ns", "materialized", "finished", "up_at_finish", "combined",
-    )
-
-    def __init__(self, packet: Packet, finish_ns: int):
-        self.packet = packet
-        self.finish_ns = finish_ns
-        self.materialized = False
-        self.finished = False
-        self.up_at_finish = True
-        self.combined = None
 
 
 class Channel:
@@ -112,42 +63,12 @@ class Channel:
         else:
             self.queue = DropTailQueue(queue_capacity_bytes, name=f"{name}.q")
         self._up = True
-        self._fastpath = os.environ.get(FASTPATH_ENV, "1") != "0"
         self._transmitting = False
-        self._tx_packets = 0
-        self._tx_bytes = 0
-        #: Frames serialized (logically) but with stats not yet settled.
-        self._pending: "deque[_InFlight]" = deque()
-        #: The frame currently on the wire (fast path's busy test).
-        self._tail: Optional[_InFlight] = None
-        #: Combined events outstanding; the transition log lives while > 0.
-        self._outstanding = 0
-        #: (time, up) transitions while frames are in flight, so a
-        #: combined event can evaluate "was the line up at my t_f?".
-        self._up_log: List[Tuple[int, bool]] = []
+        self.tx_packets = 0
+        self.tx_bytes = 0
         #: tx_bytes at the previous INT stamp, for utilization hints.
         self.tx_bytes_window_start = 0
         self.window_start_ns = 0
-
-    # ------------------------------------------------------------------
-    # Lazily settled tx statistics
-    # ------------------------------------------------------------------
-    def _settle(self, now: int) -> None:
-        pending = self._pending
-        while pending and pending[0].finish_ns <= now:
-            rec = pending.popleft()
-            self._tx_packets += 1
-            self._tx_bytes += rec.packet.size_bytes
-
-    @property
-    def tx_packets(self) -> int:
-        self._settle(self.sim.now)
-        return self._tx_packets
-
-    @property
-    def tx_bytes(self) -> int:
-        self._settle(self.sim.now)
-        return self._tx_bytes
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -161,95 +82,10 @@ class Channel:
             return False
         if not self.queue.offer(packet):
             return False
-        if not self._fastpath:
-            if not self._transmitting:
-                self._start_next()
-            return True
-        tail = self._tail
-        # Busy iff the tail frame is still serializing.  The tie case
-        # (now == finish_ns with a materialized finish event not yet
-        # fired this instant) must count as busy, or a same-ns send
-        # would start an overlapping serialization.
-        if tail is not None and (
-            tail.finish_ns > self.sim.now
-            or (tail.materialized and not tail.finished)
-        ):
-            # Line busy: the new frame starts when the current one
-            # finishes, so that instant must exist as a real event.
-            if not tail.materialized:
-                tail.materialized = True
-                self.sim.schedule_at_fire(tail.finish_ns, self._finish_fast, tail)
-            return True
-        # Line idle (hence the queue was empty): serialize immediately.
-        self._begin(self.queue.poll())
+        if not self._transmitting:
+            self._start_next()
         return True
 
-    # ------------------------------------------------------------------
-    # Fast path
-    # ------------------------------------------------------------------
-    def _begin(self, packet: Packet) -> None:
-        wire_ns = bytes_time_ns(packet.size_bytes, self.gbps)
-        rec = _InFlight(packet, self.sim.now + wire_ns)
-        rec.combined = self.sim.schedule(
-            wire_ns + self.propagation_ns, self._deliver_fast, rec
-        )
-        self._tail = rec
-        self._pending.append(rec)
-        self._outstanding += 1
-        if len(self.queue):
-            rec.materialized = True
-            self.sim.schedule_fire(wire_ns, self._finish_fast, rec)
-
-    def _finish_fast(self, rec: _InFlight) -> None:
-        # Fires at rec.finish_ns, only for materialized (contended)
-        # frames — mirrors the legacy finish event exactly.
-        rec.finished = True
-        rec.up_at_finish = self.up
-        if not self.up:
-            rec.combined.cancel()
-            self._retire(rec)
-        packet = self.queue.poll()
-        if packet is not None:
-            self._begin(packet)
-
-    def _deliver_fast(self, rec: _InFlight) -> None:
-        if rec.materialized:
-            up_at_finish = rec.up_at_finish
-        else:
-            up_at_finish = self._up_at(rec.finish_ns)
-            if up_at_finish:
-                # The folded serialization-finish: keep events_processed
-                # identical to the two-event execution.
-                self.sim.credit_events(1)
-        self._retire(rec)
-        if up_at_finish and self.up:
-            self.dst.receive(rec.packet, self)
-
-    def _up_at(self, time_ns: int) -> bool:
-        state = True
-        for when, up in self._up_log:
-            if when <= time_ns:
-                state = up
-        return state
-
-    def _retire(self, rec: _InFlight) -> None:
-        self._outstanding -= 1
-        if self._outstanding == 0:
-            if self._up_log:
-                self._up_log.clear()
-            self._tail = None
-            # Everything in flight has been delivered, so every pending
-            # stats record has finish_ns <= now: settle them all, keeping
-            # ``_pending`` bounded even if the tx counters of this channel
-            # are never read (only reads settle otherwise).
-            if self._pending:
-                self._settle(self.sim.now)
-        elif self._tail is rec:
-            self._tail = None
-
-    # ------------------------------------------------------------------
-    # Legacy two-event path (REPRO_LINK_FASTPATH=0)
-    # ------------------------------------------------------------------
     def _start_next(self) -> None:
         packet = self.queue.poll()
         if packet is None:
@@ -257,13 +93,13 @@ class Channel:
             return
         self._transmitting = True
         wire_ns = bytes_time_ns(packet.size_bytes, self.gbps)
-        self.sim.schedule(wire_ns, self._finish_serialize, packet)
+        self.sim.schedule_fire(wire_ns, self._finish_serialize, packet)
 
     def _finish_serialize(self, packet: Packet) -> None:
-        self._tx_packets += 1
-        self._tx_bytes += packet.size_bytes
+        self.tx_packets += 1
+        self.tx_bytes += packet.size_bytes
         if self.up:
-            self.sim.schedule(self.propagation_ns, self._deliver, packet)
+            self.sim.schedule_fire(self.propagation_ns, self._deliver, packet)
         self._start_next()
 
     def _deliver(self, packet: Packet) -> None:
@@ -278,12 +114,10 @@ class Channel:
     @up.setter
     def up(self, value: bool) -> None:
         # A property so that direct writes (fault injection shorthand in
-        # tests: ``channel.up = False``) keep the cache epoch and the
-        # in-flight transition log coherent, same as :meth:`set_up`.
+        # tests: ``channel.up = False``) keep the cache epoch coherent,
+        # same as :meth:`set_up`.
         if value != self._up:
             LINK_STATE_EPOCH[0] += 1
-            if self._outstanding:
-                self._up_log.append((self.sim.now, value))
         self._up = value
 
     def set_up(self, up: bool) -> None:

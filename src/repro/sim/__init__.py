@@ -2,51 +2,29 @@
 
 Public surface:
 
-* :class:`Simulator` — the event loop and virtual clock;
-* :class:`Process` / :func:`spawn` — generator-based cooperative processes;
-* :class:`Signal`, :class:`Delay`, :class:`Event` — coordination primitives;
+* :class:`Simulator` — the event loop and virtual clock, one binary heap
+  of ``(time, seq)``-ordered events with an exact ``run(until=)``;
+* :class:`Event` — a cancellable scheduled callback;
 * :class:`RngRegistry` — deterministic named randomness streams;
-* hybrid fidelity — :class:`FidelityController`, :class:`FluidFlow`,
-  :class:`HybridRun` (see :mod:`repro.sim.fluid`);
 * time constants ``NS``, ``US``, ``MS``, ``SECOND`` and helpers.
 """
 
 from .engine import SimulationError, Simulator
-from .fluid import (
-    FidelityController,
-    FluidFlow,
-    HybridResult,
-    HybridRun,
-    LatencyReservoir,
-)
 from .events import (
-    Delay,
     Event,
     MS,
     NS,
     SECOND,
-    Signal,
     US,
     format_ns,
     ns_from_seconds,
     seconds_from_ns,
 )
-from .process import Process, ProcessFailed, spawn
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
     "Simulator",
     "SimulationError",
-    "FidelityController",
-    "FluidFlow",
-    "HybridResult",
-    "HybridRun",
-    "LatencyReservoir",
-    "Process",
-    "ProcessFailed",
-    "spawn",
-    "Signal",
-    "Delay",
     "Event",
     "RngRegistry",
     "derive_seed",

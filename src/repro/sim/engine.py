@@ -5,24 +5,17 @@ Everything in the reproduction — links, switches, CPUs, SSDs, protocol
 stacks — is driven by callbacks scheduled on a single simulator instance,
 so a whole EBS deployment runs deterministically from one seed.
 
-The scheduler is pluggable (see :mod:`repro.sim.sched`): a calendar
-queue by default, a plain binary heap as the reference implementation.
-Both deliver events in identical ``(time, seq)`` order, so the choice is
-a pure throughput knob — artifacts are byte-identical either way.
+Events fire in ``(time, seq)`` order from one binary heap (see
+:mod:`repro.sim.sched`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Optional
 
 from .events import Event, format_ns
 from .rng import RngRegistry
-from .sched import make_scheduler
-
-#: Environment override for the scheduler implementation (experiments /
-#: cross-implementation determinism checks): ``REPRO_SCHEDULER=heap``.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
+from .sched import HeapScheduler
 
 
 class SimulationError(RuntimeError):
@@ -43,14 +36,11 @@ class Simulator:
     randomness from independent, reproducible streams.
     """
 
-    def __init__(self, seed: int = 0, scheduler: Optional[str] = None):
+    def __init__(self, seed: int = 0):
         self.now: int = 0
         self.seed = seed
         self.rng = RngRegistry(seed)
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV, "calendar")
-        self.scheduler_name = scheduler
-        self._sched = make_scheduler(scheduler)
+        self._sched = HeapScheduler()
         # Pre-bound push methods: schedule() runs a few hundred thousand
         # times per simulated second, so one attribute chain matters.
         self._push = self._sched.push
@@ -58,11 +48,6 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._stopped = False
-        #: Logical events processed.  Coalesced fast paths (e.g. a link's
-        #: combined serialize+deliver completion, see ``repro.net.link``)
-        #: credit the events they fold in via :meth:`credit_events`, so
-        #: this counter — and every artifact embedding it — is invariant
-        #: across fast-path and legacy event plumbing.
         self.events_processed = 0
 
     # ------------------------------------------------------------------
@@ -120,51 +105,26 @@ class Simulator:
         self._push(event)
         return event
 
-    def credit_events(self, count: int = 1) -> None:
-        """Account for logical events folded into a coalesced callback.
-
-        Fast paths that replace N legacy events with one physical event
-        call this with ``N - 1`` so ``events_processed`` stays identical
-        to the uncoalesced execution (artifacts embed the counter).
-        """
-        self.events_processed += count
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the single next pending event.  Returns False when drained."""
-        event = self._sched.pop()
-        if event is None:
-            return False
-        if event.time < self.now:  # pragma: no cover - defensive
-            raise SimulationError("scheduler yielded an event from the past")
-        self.now = event.time
-        self.events_processed += 1
-        event.fn(*event.args)
-        return True
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the scheduler drains, ``until`` is reached, or
         ``max_events`` have fired.
 
-        ``until`` is an absolute time; the clock is advanced to ``until``
-        even if the last event fires earlier (matching how a wall-clock
-        experiment of fixed duration behaves).  Returns the number of
-        events processed by this call (physical events — coalesced
-        credits count only toward :attr:`events_processed`).
+        ``until`` is an absolute time and exact: every live event at or
+        before it fires, none after it does (cancelled timers at the
+        head of the queue are skipped before the bound is checked).  The
+        clock is advanced to ``until`` even if the last event fires
+        earlier (matching how a wall-clock experiment of fixed duration
+        behaves).  Returns the number of events processed by this call.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
         # The loop itself lives in the scheduler (``drain``) so popping
-        # needs no method dispatch per event.  Its ``until`` check reads
-        # the *raw* head (ghosts included): a cancelled timer at the
-        # head must not end a bounded run early, and conversely a live
-        # event past ``until`` still fires when a ghost at or before
-        # ``until`` heads the queue.  Both match the original
-        # single-heap engine, which compared the raw heap head.
+        # needs no method dispatch per event.
         try:
             processed = self._sched.drain(self, until, max_events)
         finally:
@@ -182,23 +142,10 @@ class Simulator:
         lookahead-window stepping API used by the shard plane
         (:mod:`repro.dist`).
 
-        Like :meth:`run` with ``until``, but barrier-exact: the horizon
-        must not lie in the past, and the clock always lands *exactly*
-        on it — never past it.  Plain ``run(until=...)`` can overshoot
-        when a cancelled timer heads the queue (its raw-head ``until``
-        check admits the next live event even past the bound, see
-        :meth:`run`); a shard that overshot its barrier would reject the
-        next window's inbound messages as scheduled in the past.  The
-        stop-sentinel planted at the horizon closes that hole: the
-        earliest live event is then never later than the horizon, so the
-        ghost fast-path cannot skip past it.
-
-        Events stamped exactly at the horizon fire in this window when
-        scheduled before the call (the coordinator's delivery rule);
-        ones scheduled *during* the window at exactly the horizon fire
-        at the start of the next window — same outcome for every shard
-        layout, which is the property the shard plane needs.  Returns
-        the number of physical events processed (the sentinel included).
+        Exactly :meth:`run` with ``until``, except that a horizon in the
+        past is an error: the clock lands exactly on the horizon, and
+        every event stamped at or before it fires in this window.
+        Returns the number of events processed.
         """
         horizon_ns = int(horizon_ns)
         if horizon_ns < self.now:
@@ -206,7 +153,6 @@ class Simulator:
                 f"window horizon {format_ns(horizon_ns)} is in the past; "
                 f"now is {format_ns(self.now)}"
             )
-        self.schedule_at_fire(horizon_ns, self.stop)
         return self.run(until=horizon_ns, **kwargs)
 
     def stop(self) -> None:
@@ -228,5 +174,5 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Simulator now={format_ns(self.now)} pending={self.pending_events} "
-            f"processed={self.events_processed} sched={self.scheduler_name}>"
+            f"processed={self.events_processed}>"
         )

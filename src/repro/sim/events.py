@@ -9,7 +9,6 @@ floating-point accumulation error can reorder them.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Optional
 
 #: Convenience time constants (all in integer nanoseconds).
@@ -68,71 +67,6 @@ class Event:
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time}ns {name} {state}>"
-
-
-class Signal:
-    """A one-shot waitable condition for generator processes.
-
-    A process may ``yield signal`` to suspend until some other part of the
-    system calls :meth:`fire`.  Multiple processes may wait on the same
-    signal; all are resumed (in wait order) when it fires.  Firing delivers
-    an optional payload value, which becomes the value of the ``yield``
-    expression in each waiter.
-
-    Signals are one-shot: once fired, any later ``yield signal`` resumes
-    immediately with the stored payload.
-    """
-
-    __slots__ = ("name", "fired", "value", "_waiters")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.fired = False
-        self.value: Any = None
-        self._waiters: list = []
-
-    def add_waiter(self, process) -> None:
-        self._waiters.append(process)
-
-    def fire(self, value: Any = None) -> None:
-        """Fire the signal, waking every waiting process.
-
-        The wake-ups are delivered through the simulator at the current
-        instant (each waiter's resume is scheduled with zero delay), so the
-        caller's stack does not nest arbitrarily deep.
-        """
-        if self.fired:
-            raise RuntimeError(f"signal {self.name!r} fired twice")
-        self.fired = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            process._resume_soon(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "fired" if self.fired else f"{len(self._waiters)} waiting"
-        return f"<Signal {self.name!r} {state}>"
-
-
-class Delay:
-    """Explicit delay request for generator processes.
-
-    ``yield Delay(us=3)`` suspends the process for 3 microseconds.  Plain
-    non-negative integers yielded from a process are treated as nanosecond
-    delays, so ``Delay`` is only needed when the unit keyword form reads
-    better.
-    """
-
-    __slots__ = ("ns",)
-
-    def __init__(self, ns: int = 0, *, us: float = 0, ms: float = 0, s: float = 0):
-        total = ns + us * US + ms * MS + s * SECOND
-        if total < 0 or not math.isfinite(total):
-            raise ValueError(f"invalid delay: {total!r}")
-        self.ns = int(round(total))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Delay({self.ns}ns)"
 
 
 def format_ns(ns: Optional[int]) -> str:

@@ -1,26 +1,10 @@
-"""Pluggable event schedulers for the simulation kernel.
+"""The simulation kernel's event scheduler.
 
-Two implementations share one contract and — critically — one *ordering
-law*: events fire in ``(time, seq)`` order, where ``seq`` is the global
-creation sequence number.  Because both structures sort on exactly that
-key, the heap and the calendar queue are observably identical: the same
-workload pops the same events in the same order, so artifacts are
-byte-identical across implementations (pinned by
-``tests/test_scheduler_parity.py``).
-
-* :class:`HeapScheduler` — a single binary heap of ``(time, seq, event)``
-  tuples.  Tuple entries keep comparisons in C (no ``Event.__lt__``
-  dispatch per sift step).
-
-* :class:`CalendarScheduler` — a calendar queue / hashed timer wheel: the
-  time axis is cut into fixed-width buckets (``2**bucket_bits`` ns) held
-  in a dict keyed by bucket index, with a small int-heap of active bucket
-  indices.  Each bucket is itself a little ``(time, seq, event)`` heap.
-  Most scheduling in this simulator is short-horizon (wire times, switch
-  forwarding, CPU costs — nanoseconds to microseconds), so pushes land in
-  the current or a nearby bucket and per-bucket heaps stay tiny; far-out
-  timers (RTOs, probes) spread across sparse buckets at no cost because
-  empty buckets simply do not exist.
+Events fire in ``(time, seq)`` order, where ``seq`` is the global
+creation sequence number, so same-instant events fire FIFO.
+:class:`HeapScheduler` keeps them in a single binary heap of tuples;
+tuple entries keep comparisons in C (no ``Event.__lt__`` dispatch per
+sift step).
 
 Entries come in two shapes, distinguished by the third tuple slot:
 
@@ -34,17 +18,16 @@ Entries come in two shapes, distinguished by the third tuple slot:
   largest per-event constant.  Ordering is unaffected: ``seq`` is
   globally unique, so tuple comparison never reaches the third slot.
 
-Both schedulers keep **live bookkeeping** instead of scanning:
+The scheduler keeps **live bookkeeping** instead of scanning:
 
-* ``live`` — count of pending, not-cancelled events (``pending_events``
-  used to be an O(n) recount; ``peek_time`` used to *sort the whole
-  heap*);
-* ``ghosts`` — cancelled events still buried in the structure (lazy
+* ``live`` — count of pending, not-cancelled events (O(1)
+  ``pending_events``);
+* ``ghosts`` — cancelled events still buried in the heap (lazy
   deletion keeps :meth:`Event.cancel` O(1));
 * automatic **compaction**: when ghosts outnumber live events (and exceed
-  a floor), the structure is rebuilt without them, so cancel-heavy
+  a floor), the heap is rebuilt without them, so cancel-heavy
   workloads (timeout/retry paths re-arming RTOs per message) cannot grow
-  the heap without bound.
+  it without bound.
 """
 
 from __future__ import annotations
@@ -54,17 +37,12 @@ from typing import Optional
 
 from .events import Event
 
-#: Compaction floor: never bother rebuilding tiny structures.
+#: Compaction floor: never bother rebuilding tiny heaps.
 COMPACT_MIN_GHOSTS = 512
-
-#: Calendar bucket width exponent: 2**13 ns = 8.192 us per bucket.
-DEFAULT_BUCKET_BITS = 13
 
 
 class HeapScheduler:
     """Binary heap of ``(time, seq, event)`` tuples with lazy deletion."""
-
-    name = "heap"
 
     __slots__ = ("_heap", "live", "ghosts", "compactions")
 
@@ -85,28 +63,6 @@ class HeapScheduler:
         heappush(self._heap, (time, seq, None, fn, args))
         self.live += 1
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next pending event, skipping ghosts.
-
-        Anonymous entries are materialized into an Event on the way out
-        (:meth:`Simulator.step` is the only pop-based driver; the hot
-        path is :meth:`drain`, which fires them without allocating).
-        """
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            event = entry[2]
-            if event is None:
-                self.live -= 1
-                return Event(entry[0], entry[1], entry[3], entry[4])
-            if event.cancelled:
-                self.ghosts -= 1
-                continue
-            event._sched = None
-            self.live -= 1
-            return event
-        return None
-
     def peek_time(self) -> Optional[int]:
         """Time of the next pending event (purges ghost heads)."""
         heap = self._heap
@@ -120,42 +76,34 @@ class HeapScheduler:
             return entry[0]
         return None
 
-    def raw_head_time(self) -> Optional[int]:
-        """Time of the head entry *including* cancelled ghosts.
-
-        The run loop's ``until`` check uses this (not :meth:`peek_time`)
-        so a cancelled timer at the head does not end a bounded run one
-        event early — matching the original single-heap engine, whose
-        ``until`` comparison read the raw heap head.
-        """
-        return self._heap[0][0] if self._heap else None
-
     def drain(self, sim, until: Optional[int], max_events: Optional[int]) -> int:
-        """Inlined run loop (see :meth:`CalendarScheduler.drain`)."""
+        """The simulator's run loop, inlined into the data structure so
+        each event costs one Python frame.
+
+        Cancelled heads are purged *before* the ``until`` comparison, so
+        the bound is checked against the earliest live event and nothing
+        past ``until`` ever fires.  ``compact`` rebuilds in place, so the
+        local alias below stays valid across event callbacks.
+        """
         heap = self._heap
         pop = heappop
         processed = 0
         while heap and not sim._stopped:
-            if until is not None and heap[0][0] > until:
+            entry = heap[0]
+            event = entry[2]
+            if event is not None and event.cancelled:
+                pop(heap)
+                self.ghosts -= 1
+                continue
+            if until is not None and entry[0] > until:
                 break
             if max_events is not None and processed >= max_events:
                 break
-            entry = None
-            while heap:
-                candidate = pop(heap)
-                event = candidate[2]
-                if event is not None and event.cancelled:
-                    self.ghosts -= 1
-                    continue
-                entry = candidate
-                break
-            if entry is None:
-                break
+            pop(heap)
             self.live -= 1
             sim.now = entry[0]
             sim.events_processed += 1
             processed += 1
-            event = entry[2]
             if event is None:
                 entry[3](*entry[4])
             else:
@@ -193,196 +141,3 @@ class HeapScheduler:
     def storage_size(self) -> int:
         """Entries physically held (live + ghosts) — bounded by compaction."""
         return len(self._heap)
-
-
-class CalendarScheduler:
-    """Calendar queue: dict of per-bucket heaps + int-heap of bucket ids.
-
-    Ordering matches :class:`HeapScheduler` exactly: bucket index is
-    ``time >> bucket_bits``, so the minimum active bucket contains the
-    globally minimum ``(time, seq)`` entry; within a bucket the little
-    heap orders entries by that same key.  Same-timestamp FIFO therefore
-    holds across bucket boundaries by construction.
-    """
-
-    name = "calendar"
-
-    __slots__ = ("bucket_bits", "_buckets", "_ids", "live", "ghosts", "compactions")
-
-    def __init__(self, bucket_bits: int = DEFAULT_BUCKET_BITS) -> None:
-        if not 0 < bucket_bits < 40:
-            raise ValueError(f"unreasonable bucket_bits: {bucket_bits}")
-        self.bucket_bits = bucket_bits
-        self._buckets: dict = {}
-        self._ids: list = []  # int-heap of active bucket indices
-        self.live = 0
-        self.ghosts = 0
-        self.compactions = 0
-
-    # ------------------------------------------------------------------
-    def push(self, event: Event) -> None:
-        event._sched = self
-        idx = event.time >> self.bucket_bits
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [(event.time, event.seq, event)]
-            heappush(self._ids, idx)
-        else:
-            heappush(bucket, (event.time, event.seq, event))
-        self.live += 1
-
-    def push_fire(self, time: int, seq: int, fn, args) -> None:
-        """Queue an anonymous fire-and-forget entry (no Event object)."""
-        idx = time >> self.bucket_bits
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [(time, seq, None, fn, args)]
-            heappush(self._ids, idx)
-        else:
-            heappush(bucket, (time, seq, None, fn, args))
-        self.live += 1
-
-    def pop(self) -> Optional[Event]:
-        ids, buckets = self._ids, self._buckets
-        while ids:
-            idx = ids[0]
-            bucket = buckets[idx]
-            while bucket:
-                entry = heappop(bucket)
-                event = entry[2]
-                if event is not None and event.cancelled:
-                    self.ghosts -= 1
-                    continue
-                self.live -= 1
-                if not bucket:
-                    heappop(ids)
-                    del buckets[idx]
-                if event is None:
-                    return Event(entry[0], entry[1], entry[3], entry[4])
-                event._sched = None
-                return event
-            heappop(ids)
-            del buckets[idx]
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        ids, buckets = self._ids, self._buckets
-        while ids:
-            idx = ids[0]
-            bucket = buckets[idx]
-            while bucket:
-                entry = bucket[0]
-                event = entry[2]
-                if event is not None and event.cancelled:
-                    heappop(bucket)
-                    self.ghosts -= 1
-                    continue
-                return entry[0]
-            heappop(ids)
-            del buckets[idx]
-        return None
-
-    def raw_head_time(self) -> Optional[int]:
-        """Head entry time including ghosts (see :class:`HeapScheduler`).
-
-        Active buckets are never empty, so the head of the minimum
-        bucket's little heap is the global minimum entry.
-        """
-        ids = self._ids
-        return self._buckets[ids[0]][0][0] if ids else None
-
-    def drain(self, sim, until: Optional[int], max_events: Optional[int]) -> int:
-        """The simulator's run loop, inlined into the data structure.
-
-        Semantically identical to repeated ``raw_head_time``/``pop`` (the
-        ``until`` check reads the raw head, ghosts are skipped
-        unconditionally once popping starts), but one Python frame per
-        event instead of three.  ``compact`` rebuilds in place, so the
-        local aliases below stay valid across event callbacks.
-        """
-        ids, buckets = self._ids, self._buckets
-        pop = heappop
-        processed = 0
-        while ids and not sim._stopped:
-            if until is not None and buckets[ids[0]][0][0] > until:
-                break
-            if max_events is not None and processed >= max_events:
-                break
-            entry = None
-            while ids:
-                idx = ids[0]
-                bucket = buckets[idx]
-                candidate = pop(bucket)
-                if not bucket:
-                    pop(ids)
-                    del buckets[idx]
-                event = candidate[2]
-                if event is not None and event.cancelled:
-                    self.ghosts -= 1
-                    continue
-                entry = candidate
-                break
-            if entry is None:
-                break
-            self.live -= 1
-            sim.now = entry[0]
-            sim.events_processed += 1
-            processed += 1
-            event = entry[2]
-            if event is None:
-                entry[3](*entry[4])
-            else:
-                event._sched = None
-                event.fn(*event.args)
-        return processed
-
-    # ------------------------------------------------------------------
-    def note_cancel(self) -> None:
-        self.live -= 1
-        self.ghosts += 1
-        if self.ghosts > COMPACT_MIN_GHOSTS and self.ghosts > self.live:
-            self.compact()
-
-    def compact(self) -> None:
-        entries = [
-            entry
-            for bucket in self._buckets.values()
-            for entry in bucket
-            if entry[2] is None or not entry[2].cancelled
-        ]
-        buckets: dict = {}
-        bits = self.bucket_bits
-        for entry in entries:
-            buckets.setdefault(entry[0] >> bits, []).append(entry)
-        for bucket in buckets.values():
-            heapify(bucket)
-        # In place: drain() aliases both containers across callbacks.
-        self._buckets.clear()
-        self._buckets.update(buckets)
-        self._ids[:] = list(buckets)
-        heapify(self._ids)
-        self.ghosts = 0
-        self.compactions += 1
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.live
-
-    @property
-    def storage_size(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
-
-SCHEDULERS = {
-    "heap": HeapScheduler,
-    "calendar": CalendarScheduler,
-}
-
-
-def make_scheduler(name: str):
-    try:
-        return SCHEDULERS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {name!r}; options: {sorted(SCHEDULERS)}"
-        ) from None

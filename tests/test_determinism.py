@@ -11,15 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
-from repro.sim import MS, Simulator
-from repro.sim.sched import SCHEDULERS
+from repro.sim import MS
 from repro.workloads import FioSpec, run_fio
 
 
-def run_deployment(stack: str, seed: int, drop_rate: float = 0.0,
-                   scheduler: str = None):
-    sim = Simulator(seed=seed, scheduler=scheduler) if scheduler else None
-    dep = EbsDeployment(DeploymentSpec(stack=stack, seed=seed), sim=sim)
+def run_deployment(stack: str, seed: int, drop_rate: float = 0.0):
+    dep = EbsDeployment(DeploymentSpec(stack=stack, seed=seed))
     vd = VirtualDisk(dep, "vd0", dep.compute_host_names()[0], 128 * 1024 * 1024)
     if drop_rate:
         for sw in dep.topology.switches_by_tier("spine"):
@@ -48,15 +45,6 @@ class TestDeterminism:
 
     def test_different_seed_different_run(self):
         assert run_deployment("solar", seed=1) != run_deployment("solar", seed=2)
-
-    @pytest.mark.parametrize("stack", ["kernel", "luna", "solar"])
-    def test_identical_across_scheduler_implementations(self, stack):
-        # The event queue is pluggable (repro.sim.sched); detailed-mode
-        # artifacts must be byte-identical under every implementation —
-        # same completions, bytes, latency samples, events_processed.
-        runs = [run_deployment(stack, seed=1234, scheduler=name)
-                for name in sorted(SCHEDULERS)]
-        assert all(r == runs[0] for r in runs[1:])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=5, deadline=None)

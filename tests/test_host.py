@@ -52,13 +52,6 @@ class TestCpuCore:
         assert core.busy_ns_total == 500
         assert core.jobs_run == 2
 
-    def test_submit_signal(self):
-        sim = Simulator()
-        core = CpuCore(sim, "c0")
-        sig = core.submit_signal(250)
-        sim.run()
-        assert sig.fired and sim.now == 250
-
 
 class TestCpuComplex:
     def test_pinned_is_stable(self):

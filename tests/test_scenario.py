@@ -7,8 +7,8 @@ The headline invariants under test:
   number, and the digest is a pure function of the workload content
   (provenance excluded).
 * **Round-trip determinism** — record -> replay -> record is
-  byte-identical, per stack, with the link fast path on or off, and
-  the gated report digest matches between serial and pooled execution.
+  byte-identical, per stack, and the gated report digest matches
+  between serial and pooled execution.
 * **Importers** normalize MSR/Alibaba rows to nanoseconds with
   deterministic downsampling; the sample corpora replay end to end on
   both LUNA and SOLAR.
@@ -356,16 +356,6 @@ class TestRoundTrip:
         first.dump(a)
         second.dump(b)
         assert a.getvalue() == b.getvalue()
-
-    def test_roundtrip_invariant_to_link_fastpath(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINK_FASTPATH", "0")
-        _src, slow_first, slow_second = roundtrip("solar")
-        assert slow_first.digest == slow_second.digest
-        monkeypatch.setenv("REPRO_LINK_FASTPATH", "1")
-        _src, fast_first, _ = roundtrip("solar")
-        # Arrival times are submit-side, so the capture cannot depend on
-        # how the link serializes completions.
-        assert slow_first.digest == fast_first.digest
 
     def test_report_digest_serial_vs_pooled(self, tmp_path):
         scenario = trace_scenario(

@@ -1,20 +1,28 @@
 """Tests for the discrete-event simulation kernel."""
 
+import itertools
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+)
 
 from repro.sim import (
-    Delay,
     MS,
     SECOND,
     SimulationError,
     Simulator,
-    Signal,
     US,
     format_ns,
     ns_from_seconds,
     seconds_from_ns,
-    spawn,
 )
+from repro.sim.sched import COMPACT_MIN_GHOSTS
 
 
 class TestScheduling:
@@ -134,10 +142,6 @@ class TestRunControl:
             sim.schedule(1, lambda: sim.run())
             sim.run()
 
-    def test_step_returns_false_when_drained(self):
-        sim = Simulator()
-        assert sim.step() is False
-
     def test_pending_events_excludes_cancelled(self):
         sim = Simulator()
         sim.schedule(5, lambda: None)
@@ -153,148 +157,242 @@ class TestRunControl:
         assert sim.peek_time() == 9
 
 
-class TestSignals:
-    def test_signal_wakes_waiting_process(self):
+class TestEdgeCases:
+    def test_same_instant_fifo_between_neighbours(self):
+        # FIFO-tied events plus neighbours one tick either side, created
+        # interleaved so creation order and time order disagree.
         sim = Simulator()
-        signal = Signal("go")
-        seen = []
-
-        def waiter():
-            value = yield signal
-            seen.append((sim.now, value))
-
-        spawn(sim, waiter())
-        sim.schedule(40, signal.fire, "payload")
+        instant = 7 * 8192
+        order = []
+        for i in range(5):
+            sim.schedule_at(instant, order.append, ("on", i))
+            sim.schedule_at(instant - 1, order.append, ("before", i))
+            sim.schedule_at(instant + 1, order.append, ("after", i))
         sim.run()
-        assert seen == [(40, "payload")]
+        assert order == (
+            [("before", i) for i in range(5)]
+            + [("on", i) for i in range(5)]
+            + [("after", i) for i in range(5)]
+        )
 
-    def test_signal_fires_all_waiters(self):
+    def test_schedule_at_now_during_inflight_event(self):
+        # An in-flight event scheduling at the current instant runs
+        # after already-pending same-instant events, before later ones.
         sim = Simulator()
-        signal = Signal()
-        seen = []
+        order = []
 
-        def waiter(tag):
-            yield signal
-            seen.append(tag)
+        def first():
+            order.append("first")
+            sim.schedule_at(sim.now, order.append, "nested")
+            sim.call_soon(order.append, "soon")
 
-        for tag in range(3):
-            spawn(sim, waiter(tag))
-        sim.schedule(1, signal.fire, None)
+        sim.schedule(100, first)
+        sim.schedule(100, order.append, "second")
+        sim.schedule(101, order.append, "later")
         sim.run()
-        assert sorted(seen) == [0, 1, 2]
+        assert order == ["first", "second", "nested", "soon", "later"]
 
-    def test_already_fired_signal_resumes_immediately(self):
+    def test_stop_then_resume(self):
+        # stop() halts after the in-flight event returns, even with
+        # same-instant events pending; the next run() resumes there.
         sim = Simulator()
-        signal = Signal()
-        signal.fire("cached")
-        got = []
-
-        def waiter():
-            value = yield signal
-            got.append(value)
-
-        spawn(sim, waiter())
+        order = []
+        sim.schedule(10, order.append, "a")
+        sim.schedule(11, lambda: (order.append("b"), sim.stop()))
+        sim.schedule(11, order.append, "c")
+        sim.schedule(12, order.append, "d")
         sim.run()
-        assert got == ["cached"]
-
-    def test_double_fire_rejected(self):
-        signal = Signal("x")
-        signal.fire()
-        with pytest.raises(RuntimeError):
-            signal.fire()
-
-
-class TestProcesses:
-    def test_process_sleeps_for_yielded_ns(self):
-        sim = Simulator()
-        trail = []
-
-        def proc():
-            trail.append(sim.now)
-            yield 100
-            trail.append(sim.now)
-            yield Delay(us=2)
-            trail.append(sim.now)
-
-        spawn(sim, proc())
+        assert order == ["a", "b"]
+        assert sim.now == 11
+        assert sim.pending_events == 2
         sim.run()
-        assert trail == [0, 100, 2100]
+        assert order == ["a", "b", "c", "d"]
 
-    def test_process_returns_result(self):
+    def test_until_ignores_cancelled_head(self):
+        # A cancelled timer heading the queue must not let a live event
+        # past ``until`` fire: the bound is exact.
         sim = Simulator()
-
-        def proc():
-            yield 1
-            return 42
-
-        p = spawn(sim, proc())
+        fired = []
+        ghost = sim.schedule(50, fired.append, "ghost")
+        sim.schedule(200, fired.append, "live")
+        ghost.cancel()
+        sim.run(until=100)
+        assert fired == []
+        assert sim.now == 100
         sim.run()
-        assert p.done and p.result == 42
+        assert fired == ["live"]
 
-    def test_process_join_gets_return_value(self):
+    def test_pending_events_live_counter(self):
         sim = Simulator()
-        got = []
-
-        def child():
-            yield 50
-            return "child-done"
-
-        def parent():
-            value = yield spawn(sim, child())
-            got.append((sim.now, value))
-
-        spawn(sim, parent())
+        events = [sim.schedule(10 + i, lambda: None) for i in range(8)]
+        assert sim.pending_events == 8
+        events[3].cancel()
+        events[5].cancel()
+        assert sim.pending_events == 6
         sim.run()
-        assert got == [(50, "child-done")]
+        assert sim.pending_events == 0
+        assert sim.events_processed == 6
 
-    def test_joining_finished_process_resumes_immediately(self):
+    def test_peek_time_follows_cancelled_head(self):
         sim = Simulator()
+        first = sim.schedule(10, lambda: None)
+        sim.schedule(20, lambda: None)
+        assert sim.peek_time() == 10
+        first.cancel()
+        assert sim.peek_time() == 20
 
-        def child():
-            yield 1
-            return 7
+    def test_cancel_heavy_storage_stays_bounded(self):
+        # Re-arming timers (the RTO pattern) cancels one event per push.
+        # Lazy deletion alone would grow storage to ~n; compaction must
+        # keep physical entries within a constant factor of live ones.
+        sim = Simulator()
+        sched = sim._sched
+        timers = [sim.schedule(1_000_000 + i, lambda: None) for i in range(64)]
+        for round_ in range(200):
+            for i in range(64):
+                timers[i].cancel()
+                timers[i] = sim.schedule(2_000_000 + round_ * 64 + i, lambda: None)
+        assert sched.live == 64
+        assert sched.compactions > 0
+        assert sched.storage_size <= 2 * max(COMPACT_MIN_GHOSTS, sched.live)
 
-        c = spawn(sim, child())
+    def test_compact_preserves_order(self):
+        sim = Simulator()
+        sched = sim._sched
+        order = []
+        for i in range(50):
+            sim.schedule(100 + 7 * i, order.append, i)
+            sim.schedule(100 + 7 * i + 3, order.append, None).cancel()
+        sched.compact()
+        assert sched.ghosts == 0
+        assert sched.storage_size == 50
         sim.run()
-        got = []
+        assert order == list(range(50))
 
-        def parent():
-            value = yield c
-            got.append(value)
 
-        spawn(sim, parent())
-        sim.run()
-        assert got == [7]
+DELAYS = st.integers(0, 40)
+#: A fired callback may schedule one child this far ahead (None: no child).
+CHILDREN = st.none() | st.integers(0, 40)
 
-    def test_interrupt_stops_process(self):
-        sim = Simulator()
-        trail = []
 
-        def proc():
-            trail.append("start")
-            yield 1000
-            trail.append("never")
+class KernelAgainstSortedList(RuleBasedStateMachine):
+    """The simulator against a trivially correct model of its queue: a
+    list of ``(time, seq, tag, child_delay, stops)`` entries, sorted before
+    every pop.  Each rule drives both; the invariants compare what fired,
+    the clock, the live-event count and the next event time."""
 
-        p = spawn(sim, proc())
-        sim.schedule(10, p.interrupt)
-        sim.run()
-        assert trail == ["start"]
-        assert p.done and p.interrupted
+    handles = Bundle("handles")
 
-    def test_process_requires_generator(self):
-        sim = Simulator()
-        with pytest.raises(TypeError):
-            spawn(sim, lambda: None)  # type: ignore[arg-type]
+    def __init__(self):
+        super().__init__()
+        self.sim = Simulator()
+        self.fired = []
+        self.expected = []
+        self.pending = []
+        self.now = 0
+        self.seq = 0
+        self.tags = itertools.count()
 
-    def test_yielding_garbage_raises(self):
-        sim = Simulator()
+    # -- the simulator side ---------------------------------------------
+    def _callback(self, tag, child_delay, stops):
+        self.fired.append((self.sim.now, tag))
+        if child_delay is not None:
+            self.sim.schedule_fire(child_delay, self._callback, (tag, "child"), None, False)
+        if stops:
+            self.sim.stop()
 
-        def proc():
-            yield object()
+    # -- the model side -------------------------------------------------
+    def _push(self, time, tag, child_delay=None, stops=False):
+        entry = (time, self.seq, tag, child_delay, stops)
+        self.seq += 1
+        self.pending.append(entry)
+        return entry
 
-        spawn(sim, proc())
-        with pytest.raises(TypeError):
-            sim.run()
+    def _run_model(self, until=None, max_events=None):
+        processed = 0
+        stopped = False
+        while self.pending and not stopped:
+            self.pending.sort()
+            time, _seq, tag, child_delay, stops = self.pending[0]
+            if until is not None and time > until:
+                break
+            if max_events is not None and processed >= max_events:
+                break
+            self.pending.pop(0)
+            self.now = time
+            processed += 1
+            self.expected.append((time, tag))
+            if child_delay is not None:
+                self._push(time + child_delay, (tag, "child"))
+            stopped = stops
+        if until is not None and not stopped and self.now < until:
+            self.now = until
+        return processed
+
+    # -- rules ------------------------------------------------------------
+    @rule(target=handles, delay=DELAYS, child=CHILDREN)
+    def schedule(self, delay, child):
+        tag = next(self.tags)
+        event = self.sim.schedule(delay, self._callback, tag, child, False)
+        return event, self._push(self.now + delay, tag, child)
+
+    @rule(delay=DELAYS, child=CHILDREN)
+    def schedule_fire(self, delay, child):
+        tag = next(self.tags)
+        self.sim.schedule_fire(delay, self._callback, tag, child, False)
+        self._push(self.now + delay, tag, child)
+
+    @rule(target=handles, child=CHILDREN)
+    def call_soon(self, child):
+        tag = next(self.tags)
+        event = self.sim.call_soon(self._callback, tag, child, False)
+        return event, self._push(self.now, tag, child)
+
+    @rule(handle=handles)
+    def cancel(self, handle):
+        event, entry = handle
+        event.cancel()
+        if entry in self.pending:
+            self.pending.remove(entry)
+
+    @rule(delay=DELAYS)
+    def stop_from_callback(self, delay):
+        tag = next(self.tags)
+        self.sim.schedule_fire(delay, self._callback, tag, None, True)
+        self._push(self.now + delay, tag, None, True)
+
+    @rule(span=st.integers(0, 60))
+    def run_until(self, span):
+        until = self.now + span
+        assert self.sim.run(until=until) == self._run_model(until=until)
+
+    @rule(count=st.integers(0, 8))
+    def run_max_events(self, count):
+        assert self.sim.run(max_events=count) == self._run_model(max_events=count)
+
+    # -- invariants -------------------------------------------------------
+    @invariant()
+    def fired_order_matches(self):
+        assert self.fired == self.expected
+
+    @invariant()
+    def clock_matches(self):
+        assert self.sim.now == self.now
+
+    @invariant()
+    def pending_matches(self):
+        assert self.sim.pending_events == len(self.pending)
+
+    @invariant()
+    def peek_time_matches(self):
+        expected = min(self.pending)[0] if self.pending else None
+        assert self.sim.peek_time() == expected
+
+
+KernelAgainstSortedList.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=40, deadline=None
+)
+TestKernelAgainstSortedList = KernelAgainstSortedList.TestCase
 
 
 class TestRng:
@@ -340,6 +438,3 @@ class TestTimeHelpers:
         assert format_ns(3 * SECOND) == "3.000s"
         assert format_ns(None) == "∞"
 
-    def test_delay_validation(self):
-        with pytest.raises(ValueError):
-            Delay(-5)
