@@ -1,4 +1,4 @@
-"""Bench regression smoke: kernel events/sec and sharded fleet throughput.
+"""Bench regression smoke: kernel events/sec and fleet throughput.
 
 Two gates, both against committed append-mode trajectories:
 
@@ -17,9 +17,10 @@ committed entry (same workload version) of ``BENCH_kernel_history.jsonl``:
   committed and the fresh host are printed beside the ratio.
 
 **Shard gate** — runs the reference fleet from ``bench_shard_scaling.py``
-once at 4 shards and compares against ``BENCH_shard_history.jsonl``: the
-result digest and event count exactly (the shard plane's byte-identity
-guarantee), and aggregate sharded events/sec within the same tolerance.
+once on 4 worker processes and compares against
+``BENCH_shard_history.jsonl``: the result digest and event count exactly
+(the fleet's byte-identity guarantee), and aggregate events/sec within
+the same tolerance.
 Skip with ``--no-shard`` when only the kernel gate is wanted.
 
 **Scenario gate** (opt-in via ``--scenario``) — runs the CI-sized

@@ -193,8 +193,9 @@ class HealthMonitor:
         return self.declare(TELEMETRY_ALERT, source, detail=detail)
 
     def report_remote(self, origin: str, kind: str, detail: str = "") -> Incident:
-        """Cross-shard inlet: an incident routed in from another
-        deployment's shard (`repro.dist`).  ``origin`` names the remote
+        """Cross-deployment inlet: an incident that reaches this
+        deployment from another one of its `repro.dist` fleet, at a
+        time fixed by the fleet spec.  ``origin`` names the remote
         deployment; ``kind`` is the remote event kind.  Declared under
         :data:`REMOTE_INCIDENT` so local sweep logic never confuses a
         neighbour's trouble with a local heartbeat loss."""

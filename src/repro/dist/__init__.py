@@ -1,69 +1,24 @@
-"""`repro.dist` — sharded multi-process fleet simulation on a pluggable
-executor plane.
+"""`repro.dist` — fleet simulation as independent deployment points.
 
-Two planes, layered:
-
-* the **executor plane** (:mod:`repro.dist.executor`) — a lithops-style
-  ``submit``/``map``/``wait`` interface over worker processes with
-  futures, crash-retry and progress telemetry.  The experiment lab's
-  sweep runner (:mod:`repro.lab.runner`) and the shard coordinator both
-  schedule through it, so every fan-out in the repo shares one
-  scheduling/retry/telemetry surface;
-* the **shard plane** (:mod:`repro.dist.fleet`,
-  :mod:`repro.dist.shardsim`, :mod:`repro.dist.coordinator`) — a
-  :class:`FleetSpec` partitioned into deployment-granular shards, each
-  advancing its own :class:`repro.sim.Simulator` instances under
-  conservative lookahead-window synchronization, with cross-shard
-  traffic exchanged as timestamped :class:`repro.net.fabric.ShardMessage`
-  records at FN-fabric boundaries.  Artifacts are byte-identical across
-  shard counts — determinism is the acceptance bar, parallelism the
-  payoff.
+A :class:`FleetSpec` (:mod:`repro.dist.fleet`) declares deployments and
+the cross-deployment events between them.  Each event's effect on its
+destination is a function of the spec alone, so every deployment is
+built with its inbound effects already scheduled and runs to the
+horizon in its own :class:`repro.sim.Simulator`, in any process
+(:mod:`repro.dist.shardsim`).  :func:`run_fleet`
+(:mod:`repro.dist.coordinator`) fans the deployments out over worker
+processes with :func:`repro.lab.runner.map_parallel` and merges their
+artifacts.  The fleet digest is byte-identical for every worker count.
 """
 
-from .executor import (
-    Executor,
-    Future,
-    LocalPoolExecutor,
-    SerialExecutor,
-    TaskError,
-    WorkerCrashError,
-)
-
-#: Shard-plane symbols resolve lazily (PEP 562): the executor plane must
-#: stay importable from ``repro.lab.runner`` without dragging the whole
-#: simulation stack (ebs/control/rebuild) into the import graph.
-_LAZY = {
-    "FleetDeployment": "fleet",
-    "FleetEvent": "fleet",
-    "FleetSpec": "fleet",
-    "partition": "fleet",
-    "reference_fleet": "fleet",
-    "FleetResult": "coordinator",
-    "run_fleet": "coordinator",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f".{module}", __name__), name)
-
+from .coordinator import FleetResult, run_fleet
+from .fleet import FleetDeployment, FleetEvent, FleetSpec, reference_fleet
 
 __all__ = [
-    "Executor",
-    "Future",
-    "LocalPoolExecutor",
-    "SerialExecutor",
-    "TaskError",
-    "WorkerCrashError",
     "FleetDeployment",
     "FleetEvent",
     "FleetSpec",
     "FleetResult",
-    "partition",
     "reference_fleet",
     "run_fleet",
 ]

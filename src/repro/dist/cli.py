@@ -1,11 +1,11 @@
-"""CLI surface of the shard plane: ``python -m repro dist``.
+"""CLI surface of the fleet plane: ``python -m repro dist``.
 
-Runs one fleet simulation sharded across worker processes and prints a
-human summary or (``--json``) the full result document.  The artifact
-digest is a pure function of the fleet spec — ``--check`` exploits that
-by running the same fleet unsharded *and* sharded and comparing digests,
-which is the shard plane's core guarantee (exit 3 on mismatch, so CI can
-gate on it).
+Runs one fleet simulation, its deployments spread over worker processes,
+and prints a human summary or (``--json``) the full result document.
+The artifact digest is a pure function of the fleet spec — ``--check``
+exploits that by running the same fleet in-process *and* in spawned
+workers and comparing digests (exit 3 on mismatch, so CI can gate on
+it).
 
 Exit statuses: 0 ok, 2 usage errors (argparse or invalid spec values),
 3 determinism mismatch.
@@ -27,17 +27,18 @@ EXIT_MISMATCH = 3
 def add_dist_parser(sub: argparse._SubParsersAction) -> None:
     parser = sub.add_parser(
         "dist",
-        help="sharded fleet simulation (exits 3 if shard counts disagree)",
+        help="fleet simulation (exits 3 if worker counts disagree)",
         description=(
-            "Simulate a fleet of EBS deployments partitioned across "
-            "worker processes with conservative lookahead windows; "
-            "cross-deployment traffic (rebuild spillover, migrations, "
-            "fabric incidents) crosses shard boundaries as timestamped "
-            "messages.  Artifacts are byte-identical for every --shards."
+            "Simulate a fleet of EBS deployments, each an independent "
+            "point in its own simulator; cross-deployment effects "
+            "(rebuild spillover, migrations, fabric incidents) are "
+            "scheduled from the fleet spec.  Artifacts are byte-identical "
+            "for every --shards."
         ),
     )
     parser.add_argument("--shards", type=int, default=1,
-                        help="worker processes (default 1 = in-process)")
+                        help="worker processes the deployments run on "
+                             "(default 1 = in-process)")
     parser.add_argument("--deployments", type=int, default=4,
                         help="fleet size for the reference fleet (default 4)")
     parser.add_argument("--runtime-ms", type=int, default=20,
@@ -48,7 +49,7 @@ def add_dist_parser(sub: argparse._SubParsersAction) -> None:
                         help="load a FleetSpec JSON instead of the "
                              "reference fleet (- for stdin)")
     parser.add_argument("--check", action="store_true",
-                        help="also run unsharded and compare digests "
+                        help="also run in-process and compare digests "
                              "(exit 3 on mismatch)")
     parser.add_argument("--json", action="store_true",
                         help="print the full result document as JSON")
@@ -79,8 +80,8 @@ def cmd_dist(args) -> int:
         reference = run_fleet(spec, shards=1)
         if reference.digest != result.digest:
             print(
-                f"DETERMINISM MISMATCH: shards=1 {reference.digest} != "
-                f"shards={result.shards} {result.digest}",
+                f"DETERMINISM MISMATCH: in-process {reference.digest} != "
+                f"{result.shards} workers {result.digest}",
                 file=sys.stderr,
             )
             return EXIT_MISMATCH
@@ -94,7 +95,7 @@ def cmd_dist(args) -> int:
 
     s = result.summary
     print(f"fleet {spec.name!r}: {s['deployments']} deployments, "
-          f"{result.shards} shard(s), {result.windows} windows")
+          f"{result.shards} worker process(es)")
     print(f"  digest        {result.digest}")
     print(f"  events        {result.events_processed} "
           f"({result.events_per_sec:,.0f}/s over {result.wall_s:.2f}s)")
@@ -102,7 +103,7 @@ def cmd_dist(args) -> int:
           f"{result.messages_dropped} dropped past horizon")
     print(f"  foreground    {s['completed']}/{s['issued']} I/Os, "
           f"{s['failed']} failed, {s['hangs']} hung")
-    print(f"  cross-shard   {s['injected_completed']}/{s['injected_issued']} "
+    print(f"  cross-dep     {s['injected_completed']}/{s['injected_issued']} "
           f"injected I/Os, {s['incidents']} incidents "
           f"({s['remote_incidents']} remote)")
     if s["latency_p99_ns"] is not None:
@@ -117,6 +118,6 @@ def cmd_dist(args) -> int:
                   f"{a['messages_in']:>4d}/{a['messages_out']:<4d} "
                   f"{a['events_processed']:>9d}")
     if args.check:
-        state = "verified" if result.shards != 1 else "trivial (1 shard)"
+        state = "verified" if result.shards != 1 else "trivial (in-process only)"
         print(f"  determinism   {state}")
     return 0

@@ -1,19 +1,16 @@
-"""The fleet coordinator: window barriers, message routing, merging.
+"""The fleet coordinator: independent deployment points, merged.
 
 :func:`run_fleet` drives a :class:`~repro.dist.fleet.FleetSpec` to its
-horizon across *N* shards.  The synchronization protocol is conservative
-lookahead: every shard advances one ``window_ns`` at a time, and because
-the fabric's minimum crossing latency is at least one window, a shard
-can run a full window without observing its peers.  At each barrier the
-coordinator collects the window's exported messages, merges them into
-one globally-ordered stream (:func:`~repro.net.fabric.message_sort_key`)
-and hands each shard the messages due in the *next* window.
+horizon.  No cross-deployment effect reads simulated state — each lands
+at ``at_ns + crossing_ns`` carrying its event's own fields — so every
+deployment is built with its inbound effects already scheduled and runs
+alone (:func:`~repro.dist.shardsim.run_deployment`).  The coordinator
+only fans the deployments out with :func:`repro.lab.runner.map_parallel`
+and merges the artifacts; routed and dropped counts come from the spec.
 
-Everything that affects the artifacts — message order, delivery times,
-per-deployment event streams — is a pure function of the spec, so the
-result digest is byte-identical for every shard count.  What sharding
-buys is wall-clock: each shard's deployments run in their own process,
-so the per-window simulation work proceeds in parallel between barriers.
+Everything that affects the artifacts is a pure function of the spec,
+so the result digest is byte-identical for every worker count.  What
+more workers buy is wall-clock: deployments run in parallel processes.
 """
 
 from __future__ import annotations
@@ -23,12 +20,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from ..lab.runner import map_parallel
 from ..lab.spec import canonical_json
-from ..net.fabric import ShardMessage, message_sort_key
+from ..lab.telemetry import FAILED
 from ..telemetry.sketch import QuantileSketch
-from .executor import Executor, LocalPoolExecutor, SerialExecutor
-from .fleet import FLEET_SCHEMA_VERSION, FleetSpec, partition
-from .shardsim import worker_advance, worker_create, worker_finish
+from .fleet import FLEET_SCHEMA_VERSION, FleetSpec
+from .shardsim import run_deployment
 
 #: Quantiles surfaced in the fleet summary (from the merged sketch).
 SUMMARY_QUANTILES = (0.5, 0.9, 0.99)
@@ -36,9 +33,10 @@ SUMMARY_QUANTILES = (0.5, 0.9, 0.99)
 
 @dataclass
 class FleetResult:
-    """One sharded run's outcome: artifacts, digest, performance."""
+    """One fleet run's outcome: artifacts, digest, performance."""
 
     spec: FleetSpec
+    #: Worker processes the deployments ran on (1 = in-process).
     shards: int
     #: Per-deployment artifacts, ordered by fleet index.
     artifacts: List[Dict[str, Any]]
@@ -46,6 +44,7 @@ class FleetResult:
     summary: Dict[str, Any]
     #: sha256 over the simulated content — the determinism anchor.
     digest: str
+    #: Always 1: each deployment runs to the horizon in one go.
     windows: int
     messages_routed: int
     messages_dropped: int
@@ -63,7 +62,6 @@ class FleetResult:
             "shards": self.shards,
             "deployments": len(self.spec.deployments),
             "digest": self.digest,
-            "windows": self.windows,
             "messages_routed": self.messages_routed,
             "messages_dropped": self.messages_dropped,
             "events_processed": self.events_processed,
@@ -77,8 +75,8 @@ class FleetResult:
 def _digest(spec: FleetSpec, artifacts: List[Dict[str, Any]],
             routed: int, dropped: int) -> str:
     """Content address of the simulated outcome.  Wall-clock and
-    executor details are deliberately excluded — two runs of the same
-    spec must collide regardless of machine or shard count."""
+    worker count are deliberately excluded — two runs of the same spec
+    must collide regardless of machine or worker count."""
     material = {
         "schema": FLEET_SCHEMA_VERSION,
         "spec": spec.digest(),
@@ -91,8 +89,8 @@ def _digest(spec: FleetSpec, artifacts: List[Dict[str, Any]],
 
 def _summarize(spec: FleetSpec, artifacts: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fleet rollup: counter sums plus merged-latency quantiles.  The
-    merge is the telemetry plane's own sketch merge — per-shard sketches
-    combine into one fleet sketch without resampling."""
+    merge is the telemetry plane's own sketch merge — per-deployment
+    sketches combine into one fleet sketch without resampling."""
     merged = QuantileSketch.merged(
         QuantileSketch.from_dict(a["latency"]) for a in artifacts
     )
@@ -120,111 +118,46 @@ def _summarize(spec: FleetSpec, artifacts: List[Dict[str, Any]]) -> Dict[str, An
 def run_fleet(
     spec: FleetSpec,
     shards: int = 1,
-    executor: Optional[Executor] = None,
-    progress: Optional[Callable[[int, int, int], None]] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> FleetResult:
-    """Run ``spec`` partitioned over ``shards`` worker processes.
+    """Run every deployment of ``spec`` to the horizon on ``shards``
+    worker processes (1 = in-process) and merge the results.
 
-    ``executor`` overrides the execution backend (the default is the
-    in-process :class:`SerialExecutor` for one shard and a pinned
-    :class:`LocalPoolExecutor` otherwise); it must support ``worker=``
-    affinity, because shard state lives in the worker processes.
-    ``progress`` (if given) is called after every barrier with
-    ``(window_index, delivered_count, exported_count)``.
+    ``progress`` (if given) is called with ``(finished, total)`` as each
+    deployment finishes.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    assignment = partition(len(spec.deployments), shards)
-    shards = len(assignment)  # clamped to the deployment count
-    own_executor = executor is None
-    if own_executor:
-        executor = SerialExecutor() if shards == 1 else LocalPoolExecutor(shards)
-    owner: Dict[int, int] = {}
-    for shard_id, indices in enumerate(assignment):
-        for index in indices:
-            owner[index] = shard_id
+    total = len(spec.deployments)
+    shards = min(shards, total)
+    finished = 0
+
+    def on_result(_index: int, status: str, _wall_s: float, _result: Any) -> None:
+        nonlocal finished
+        if status != FAILED:
+            finished += 1
+            progress(finished, total)
 
     started = time.perf_counter()
-    routed = 0
-    try:
-        spec_json = spec.to_json()
-        creates = [
-            executor.submit(
-                worker_create, shard_id, spec_json, indices,
-                worker=shard_id, label=f"create[{shard_id}]",
-            )
-            for shard_id, indices in enumerate(assignment)
-        ]
-        executor.wait(creates)
-        for future in creates:
-            future.result()
-
-        pending: List[ShardMessage] = []
-        horizons = spec.windows()
-        for window_index, horizon in enumerate(horizons):
-            due = sorted(
-                (m for m in pending if m.deliver_at_ns <= horizon),
-                key=message_sort_key,
-            )
-            pending = [m for m in pending if m.deliver_at_ns > horizon]
-            routed += len(due)
-            inbound: List[List[Dict[str, Any]]] = [[] for _ in range(shards)]
-            for msg in due:
-                inbound[owner[msg.dst]].append(msg.to_dict())
-            advances = [
-                executor.submit(
-                    worker_advance, shard_id, horizon, inbound[shard_id],
-                    worker=shard_id, label=f"w{window_index}[{shard_id}]",
-                )
-                for shard_id in range(shards)
-            ]
-            executor.wait(advances)
-            exported = 0
-            for future in advances:
-                out = future.result()
-                exported += len(out)
-                pending.extend(ShardMessage.from_dict(d) for d in out)
-            if progress is not None:
-                progress(window_index, len(due), exported)
-        # Anything still pending was exported too close to the horizon
-        # to ever be delivered — dropped, but *counted*, so the digest
-        # still observes it.
-        dropped = len(pending)
-
-        finishes = [
-            executor.submit(
-                worker_finish, shard_id,
-                worker=shard_id, label=f"finish[{shard_id}]",
-            )
-            for shard_id in range(shards)
-        ]
-        executor.wait(finishes)
-        merged_artifacts: Dict[int, Dict[str, Any]] = {}
-        events_processed = 0
-        for future in finishes:
-            shard_out = future.result()
-            events_processed += shard_out["events_processed"]
-            merged_artifacts.update(shard_out["artifacts"])
-    finally:
-        if own_executor:
-            executor.shutdown()
-
-    artifacts = [merged_artifacts[i] for i in sorted(merged_artifacts)]
-    if len(artifacts) != len(spec.deployments):  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"shards returned {len(artifacts)} artifacts for "
-            f"{len(spec.deployments)} deployments"
-        )
+    spec_json = spec.to_json()
+    artifacts = map_parallel(
+        run_deployment,
+        [(spec_json, index) for index in range(total)],
+        jobs=shards,
+        on_result=on_result if progress is not None else None,
+    )
     wall_s = time.perf_counter() - started
+    routed = sum(1 for event in spec.events if spec.delivered(event))
+    dropped = len(spec.events) - routed
     return FleetResult(
         spec=spec,
         shards=shards,
         artifacts=artifacts,
         summary=_summarize(spec, artifacts),
         digest=_digest(spec, artifacts, routed, dropped),
-        windows=len(horizons),
+        windows=1,
         messages_routed=routed,
         messages_dropped=dropped,
-        events_processed=events_processed,
+        events_processed=sum(a["events_processed"] for a in artifacts),
         wall_s=wall_s,
     )

@@ -1,20 +1,18 @@
-"""Declarative fleet specifications for sharded multi-process runs.
+"""Declarative fleet specifications.
 
-A :class:`FleetSpec` is to the shard plane what an
+A :class:`FleetSpec` is to the fleet plane what an
 :class:`~repro.lab.spec.ExperimentSpec` is to the lab: a frozen,
 canonically-serializable description of everything that can change the
 outcome.  It names a list of :class:`FleetDeployment`s — each one an
 independent EBS deployment under its own closed-loop fio load, always
 simulated in its **own** :class:`repro.sim.Simulator` — plus a schedule
-of :class:`FleetEvent`s whose effects cross deployment boundaries as
-timestamped fabric messages (:mod:`repro.net.fabric`).
+of :class:`FleetEvent`s whose effects cross deployment boundaries.
 
-Deployment granularity is the sharding unit *and* the determinism
-anchor: because a deployment's simulator never shares a clock with
-another deployment, partitioning deployments across 1, 2 or 4 worker
-processes cannot change any deployment's event stream — only the
-transport of boundary messages moves between in-process hand-off and
-pickled IPC, and those are identical by construction.
+A cross-deployment effect reads nothing from the simulation: it lands
+on ``dst`` at ``at_ns + crossing_ns`` carrying the event's own fields.
+Every deployment's inbound traffic is therefore a function of the spec
+alone, so each deployment runs as an independent point, in any process
+and in any order (:mod:`repro.dist.shardsim`).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from .. import __version__
 from ..lab.spec import canonical_json
@@ -33,7 +31,7 @@ from ..sim import MS
 #: one schema generation.
 FLEET_SCHEMA_VERSION = 1
 
-#: Cross-shard event kinds and the cross-boundary traffic they emit.
+#: Cross-deployment event kinds.
 EVENT_KINDS = ("node_fault", "migration", "incident")
 
 
@@ -89,9 +87,9 @@ class FleetDeployment:
 class FleetEvent:
     """One scheduled cross-deployment event.
 
-    At ``at_ns`` the event fires *locally* in deployment ``src`` and
-    exports one fabric message to deployment ``dst``, delivered no
-    earlier than ``at_ns + crossing_ns``:
+    At ``at_ns`` the event fires *locally* in deployment ``src``; its
+    effect on deployment ``dst`` lands at ``at_ns + crossing_ns``, or
+    is dropped if that is past the fleet horizon:
 
     * ``node_fault`` — ``src`` loses a storage node: it declares the
       incident, pays the rebuild *read* load against its surviving
@@ -128,7 +126,7 @@ class FleetEvent:
             raise ValueError(f"event cannot fire before t=0: {self.at_ns}")
         if self.src == self.dst:
             raise ValueError(
-                f"cross-shard events need distinct src/dst, got {self.src}"
+                f"cross-deployment events need distinct src/dst, got {self.src}"
             )
         if self.src < 0 or self.dst < 0:
             raise ValueError(f"negative deployment index: {self}")
@@ -142,18 +140,12 @@ class FleetEvent:
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """One named fleet: deployments x cross-shard events x sync windows."""
+    """One named fleet: deployments x cross-deployment events."""
 
     deployments: Tuple[FleetDeployment, ...] = ()
     events: Tuple[FleetEvent, ...] = ()
     name: str = "fleet"
-    #: Conservative lookahead window: every shard advances in lockstep
-    #: barriers this far apart.
-    window_ns: int = 1 * MS
-    #: Minimum FN-fabric crossing latency for inter-deployment traffic.
-    #: Must be >= ``window_ns`` — that inequality *is* the lookahead
-    #: correctness argument (nothing produced inside a window can land
-    #: before the next barrier).
+    #: FN-fabric crossing latency for inter-deployment traffic.
     crossing_ns: int = 1 * MS
     #: Absolute end of the run; None derives max runtime + drain slack.
     horizon_ns: int | None = None
@@ -163,14 +155,8 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if not self.deployments:
             raise ValueError("a fleet needs at least one deployment")
-        if self.window_ns <= 0:
-            raise ValueError(f"window_ns must be positive: {self.window_ns}")
-        if self.crossing_ns < self.window_ns:
-            raise ValueError(
-                f"crossing_ns ({self.crossing_ns}) must be >= window_ns "
-                f"({self.window_ns}); the conservative lookahead protocol "
-                "is unsound otherwise"
-            )
+        if self.crossing_ns <= 0:
+            raise ValueError(f"crossing_ns must be positive: {self.crossing_ns}")
         n = len(self.deployments)
         for event in self.events:
             if event.src >= n or event.dst >= n:
@@ -183,6 +169,12 @@ class FleetSpec:
                     f"event at {event.at_ns}ns fires past the fleet horizon "
                     f"({self.effective_horizon_ns}ns)"
                 )
+            vd_mb = self.deployments[event.dst].vd_size_mb
+            if event.kind == "migration" and event.size_kb * 1024 > vd_mb * 1024 * 1024:
+                raise ValueError(
+                    f"migration I/O of {event.size_kb}KB exceeds the "
+                    f"{vd_mb}MB VD of deployment {event.dst}"
+                )
         if self.drain_ns < 0:
             raise ValueError(f"drain_ns cannot be negative: {self.drain_ns}")
 
@@ -192,12 +184,10 @@ class FleetSpec:
             return self.horizon_ns
         return max(d.workload_horizon_ns for d in self.deployments) + self.drain_ns
 
-    def windows(self) -> List[int]:
-        """The barrier horizons: window_ns steps, last one clamped."""
-        horizon = self.effective_horizon_ns
-        steps = list(range(self.window_ns, horizon, self.window_ns))
-        steps.append(horizon)
-        return steps
+    def delivered(self, event: FleetEvent) -> bool:
+        """Whether ``event``'s effect lands on its destination before
+        the horizon (otherwise it is dropped, and counted as such)."""
+        return event.at_ns + self.crossing_ns <= self.effective_horizon_ns
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -248,22 +238,6 @@ class FleetSpec:
         return hashlib.sha256(canonical_json(material)).hexdigest()
 
 
-def partition(n_deployments: int, shards: int) -> List[List[int]]:
-    """Deployment indices per shard — deterministic round-robin.
-
-    Round-robin (not contiguous blocks) so every shard count spreads
-    early/late deployments evenly; the assignment is a pure function of
-    the two counts, which the determinism tests rely on.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, n_deployments)
-    assignment: List[List[int]] = [[] for _ in range(shards)]
-    for index in range(n_deployments):
-        assignment[index % shards].append(index)
-    return assignment
-
-
 def reference_fleet(
     deployments: int = 4,
     runtime_ns: int = 20 * MS,
@@ -272,7 +246,7 @@ def reference_fleet(
 ) -> FleetSpec:
     """The fixed reference fleet the CLI default, CI smoke and scaling
     bench all run: alternating SOLAR/LUNA deployments with one of each
-    cross-shard event kind wired between neighbours."""
+    cross-deployment event kind wired between neighbours."""
     if deployments < 2:
         raise ValueError("the reference fleet needs >= 2 deployments")
     deps = tuple(

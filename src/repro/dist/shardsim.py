@@ -1,30 +1,26 @@
-"""Per-shard simulation state: deployment sims, event effects, workers.
+"""Deployment simulation: one fleet deployment as an independent point.
 
-A shard owns a subset of the fleet's deployments.  Each deployment runs
-in its **own** :class:`~repro.sim.Simulator` — a :class:`DeploymentSim`
-bundles the simulator with its EBS deployment, foreground fio load,
-hang/health monitoring and the :class:`~repro.net.fabric.FabricBoundary`
-through which cross-deployment traffic leaves.  A :class:`ShardState` is
-just an ordered collection of those, advanced window by window.
+Each deployment runs in its **own** :class:`~repro.sim.Simulator` — a
+:class:`DeploymentSim` bundles the simulator with its EBS deployment,
+foreground load, hang/health monitoring and the effects of the fleet's
+cross-deployment events.  Those effects are a function of the spec
+alone (an event lands on its destination at ``at_ns + crossing_ns``
+carrying its own fields), so both ends are scheduled when the
+deployment is built and the deployment then runs to the horizon
+without ever hearing from its peers.
 
-The bottom of the file is the multi-process face: a module-global shard
-registry plus three picklable functions (:func:`worker_create`,
-:func:`worker_advance`, :func:`worker_finish`) that the coordinator
-submits to a pinned executor worker.  Pinning matters — the registry
-lives in the worker process, so every call for shard *k* must land on
-the same process; the executor's ``worker=`` argument provides exactly
-that affinity.
+:func:`run_deployment` is the point function: picklable arguments in,
+one JSON-ready artifact out, in whichever process runs it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..ebs.deployment import DeploymentSpec, EbsDeployment
 from ..ebs.virtual_disk import VirtualDisk
 from ..faults.injection import IoHangMonitor
 from ..control.health import HealthMonitor
-from ..net.fabric import FabricBoundary, ShardMessage
 from ..net.failures import switch_blackhole
 from ..rebuild.planner import spillover_schedule
 from ..telemetry.sketch import QuantileSketch
@@ -32,8 +28,8 @@ from ..workloads.fio import FioJob, FioSpec
 from ..workloads.replay import IoRecord, replay
 from .fleet import FleetEvent, FleetSpec
 
-#: Chunk size for injected cross-shard streams (rebuild spillover and
-#: migrated rebuild reads) — one BN-friendly unit, block aligned.
+#: Chunk size for injected cross-deployment streams (rebuild spillover
+#: and migrated rebuild reads) — one BN-friendly unit, block aligned.
 INJECT_CHUNK_BYTES = 64 * 1024
 
 
@@ -83,7 +79,8 @@ class _TraceJob:
 
 
 class DeploymentSim:
-    """One fleet deployment in its own simulator, ready to window-step."""
+    """One fleet deployment in its own simulator, every event of its
+    fleet that touches it already scheduled."""
 
     def __init__(self, fleet: FleetSpec, index: int):
         self.fleet = fleet
@@ -126,20 +123,27 @@ class DeploymentSim:
                 ),
                 on_issue=self.hangs.watch,
             )
-        self.boundary = FabricBoundary(self.sim, index, fleet.crossing_ns)
-        self.received = 0
         self.injected_issued = 0
         self.injected_completed = 0
         self.injected_failed = 0
         self.injected_bytes = 0
         self._inject_cursor = 0
         self.sim.call_soon(self.job.start)
-        # Outbound events originate here at fixed times — schedule the
-        # local half and the boundary export up front, so a deployment's
-        # entire event stream is fixed at construction.
-        for event in fleet.events:
-            if event.src == index:
-                self.sim.schedule_at(event.at_ns, self._fire_event, event)
+        outbound = [e for e in fleet.events if e.src == index]
+        for event in outbound:
+            self.sim.schedule_at(event.at_ns, self._fire_event, event)
+        # Inbound effects in (at_ns, src) order, stable over spec order:
+        # one destination applies same-instant arrivals in that order.
+        inbound = sorted(
+            (e for e in fleet.events if e.dst == index and fleet.delivered(e)),
+            key=lambda e: (e.at_ns, e.src),
+        )
+        for event in inbound:
+            self.sim.schedule_at(
+                event.at_ns + fleet.crossing_ns, self._apply_event, event
+            )
+        self.messages_out = len(outbound)
+        self.messages_in = len(inbound)
 
     # -- source-side event effects --------------------------------------
     def _fire_event(self, event: FleetEvent) -> None:
@@ -157,26 +161,12 @@ class DeploymentSim:
                 start_ns=self.sim.now,
             ):
                 self.sim.schedule_at(at_ns, self._inject, "read", size)
-            self.boundary.export(
-                "rebuild",
-                event.dst,
-                {"size_kb": event.size_kb, "rate_gbps": event.rate_gbps},
-            )
         elif event.kind == "migration":
             # The guest leaves: its load stops being ours the moment the
             # destination picks it up.  Locally that is only a ledger
             # entry — the paced write burst happens at the destination.
             self.health.declare(
                 "migration-out", f"d{self.index}", detail=f"vd -> d{event.dst}"
-            )
-            self.boundary.export(
-                "migration",
-                event.dst,
-                {
-                    "count": event.count,
-                    "size_kb": event.size_kb,
-                    "gap_ns": event.gap_ns,
-                },
             )
         else:  # incident
             scenario = switch_blackhole("spine", event.param, 0)
@@ -189,49 +179,35 @@ class DeploymentSim:
                 f"d{self.index}",
                 detail=f"spine blackhole {event.param:.0%}",
             )
-            self.boundary.export(
-                "incident",
-                event.dst,
-                {"param": event.param, "duration_ns": event.duration_ns,
-                 "origin": self.index},
-            )
 
-    # -- destination-side message effects -------------------------------
-    def deliver(self, msg: ShardMessage) -> None:
-        """Schedule one inbound fabric message's local effects.  Must be
-        called between windows with ``msg.deliver_at_ns >= sim.now``."""
-        self.received += 1
-        self.sim.schedule_at(msg.deliver_at_ns, self._apply_message, msg)
-
-    def _apply_message(self, msg: ShardMessage) -> None:
-        payload = msg.payload
-        if msg.kind == "rebuild":
+    # -- destination-side event effects ---------------------------------
+    def _apply_event(self, event: FleetEvent) -> None:
+        if event.kind == "node_fault":
             # Remote re-replication lands as real paced BN writes.
             for at_ns, size in spillover_schedule(
-                int(payload["size_kb"]) * 1024,
+                event.size_kb * 1024,
                 INJECT_CHUNK_BYTES,
-                float(payload["rate_gbps"]),
+                event.rate_gbps,
                 start_ns=self.sim.now,
             ):
                 self.sim.schedule_at(at_ns, self._inject, "write", size)
-        elif msg.kind == "migration":
+        elif event.kind == "migration":
             # The migrated guest's write stream resumes here.
-            size = int(payload["size_kb"]) * 1024
-            gap = int(payload["gap_ns"])
-            for k in range(int(payload["count"])):
+            size = event.size_kb * 1024
+            for k in range(event.count):
                 self.sim.schedule_at(
-                    self.sim.now + k * gap, self._inject, "write", size
+                    self.sim.now + k * event.gap_ns, self._inject, "write", size
                 )
         else:  # incident
             self.health.report_remote(
-                f"d{msg.src}", msg.kind, detail=f"spine blackhole {payload['param']}"
+                f"d{event.src}", event.kind, detail=f"spine blackhole {event.param}"
             )
             scenario = switch_blackhole(
-                "spine", float(payload["param"]), 0, salt=f"remote{msg.src}"
+                "spine", event.param, 0, salt=f"remote{event.src}"
             )
             scenario.apply(self.deployment.topology)
             self.sim.schedule(
-                int(payload["duration_ns"]), scenario.revert, self.deployment.topology
+                event.duration_ns, scenario.revert, self.deployment.topology
             )
 
     def _inject(self, kind: str, size: int) -> None:
@@ -252,15 +228,13 @@ class DeploymentSim:
         else:
             self.injected_failed += 1
 
-    # -- window protocol -------------------------------------------------
-    def advance(self, horizon_ns: int) -> List[ShardMessage]:
-        """Run to the barrier and return the window's exported messages."""
-        self.sim.run_window(horizon_ns)
-        return self.boundary.drain()
+    def run(self) -> None:
+        """Run to the fleet horizon."""
+        self.sim.run(until=self.fleet.effective_horizon_ns)
 
     def finish(self) -> Dict[str, Any]:
         """The deployment's artifact — simulated data only, so it is
-        byte-identical for every shard layout."""
+        byte-identical in every process."""
         sketch = QuantileSketch()
         for sample in self.job.latency.samples:
             sketch.add(sample)
@@ -274,8 +248,8 @@ class DeploymentSim:
             "hangs": self.hangs.hangs,
             "incidents": len(self.health.incidents),
             "remote_incidents": len(self.health.incidents_of("remote-incident")),
-            "messages_out": self.boundary.exported,
-            "messages_in": self.received,
+            "messages_out": self.messages_out,
+            "messages_in": self.messages_in,
             "injected_issued": self.injected_issued,
             "injected_completed": self.injected_completed,
             "injected_failed": self.injected_failed,
@@ -287,87 +261,24 @@ class DeploymentSim:
 
 
 class ShardState:
-    """The deployments one worker owns, advanced in fleet-index order."""
+    """A set of a fleet's deployments, built in this process."""
 
     def __init__(self, fleet: FleetSpec, indices: List[int]):
         self.fleet = fleet
         self.indices = list(indices)
         self.sims = {index: DeploymentSim(fleet, index) for index in self.indices}
 
-    def advance(
-        self, horizon_ns: int, inbound: List[ShardMessage]
-    ) -> List[ShardMessage]:
-        """Deliver this window's inbound messages, run every deployment
-        to the barrier, and return the union of exported messages.
-
-        ``inbound`` must arrive pre-sorted in the global delivery order
-        (:func:`~repro.net.fabric.message_sort_key`); delivering in that
-        order keeps each destination simulator's event sequence numbers
-        identical across shard layouts.
-        """
-        for msg in inbound:
-            self.sims[msg.dst].deliver(msg)
-        out: List[ShardMessage] = []
+    def run(self) -> None:
         for index in self.indices:
-            out.extend(self.sims[index].advance(horizon_ns))
-        return out
+            self.sims[index].run()
 
     def finish(self) -> Dict[int, Dict[str, Any]]:
         return {index: self.sims[index].finish() for index in self.indices}
 
-    @property
-    def events_processed(self) -> int:
-        return sum(sim.sim.events_processed for sim in self.sims.values())
 
-
-# ----------------------------------------------------------------------
-# Multi-process face: the functions a pinned executor worker runs.  The
-# registry is per-process state; the coordinator pins every call for a
-# given shard id to one worker slot so the lookups always hit.
-# ----------------------------------------------------------------------
-_WORKER_SHARDS: Dict[int, ShardState] = {}
-
-
-def worker_create(shard_id: int, spec_json: str, indices: List[int]) -> int:
-    """Build shard ``shard_id``'s deployments in this worker process."""
-    _WORKER_SHARDS[shard_id] = ShardState(FleetSpec.from_json(spec_json), indices)
-    return shard_id
-
-
-def worker_advance(
-    shard_id: int, horizon_ns: int, inbound: List[Dict[str, Any]]
-) -> List[Dict[str, Any]]:
-    """One window barrier: deliver, advance, return exported messages
-    (as dicts — ShardMessage is picklable, but dicts keep the executor
-    payloads schema-stable for telemetry and debugging)."""
-    state = _WORKER_SHARDS[shard_id]
-    out = state.advance(
-        horizon_ns, [ShardMessage.from_dict(d) for d in inbound]
-    )
-    return [msg.to_dict() for msg in out]
-
-
-def worker_finish(shard_id: int, keep: bool = False) -> Dict[str, Any]:
-    """Collect the shard's artifacts (and per-shard totals), releasing
-    the shard's simulators unless ``keep``."""
-    state = _WORKER_SHARDS[shard_id] if keep else _WORKER_SHARDS.pop(shard_id)
-    return {
-        "artifacts": state.finish(),
-        "events_processed": state.events_processed,
-    }
-
-
-def worker_reset() -> int:
-    """Drop every shard registered in this process (test isolation)."""
-    count = len(_WORKER_SHARDS)
-    _WORKER_SHARDS.clear()
-    return count
-
-
-def make_shard(
-    fleet: FleetSpec, indices: List[int], shard_id: Optional[int] = None
-) -> ShardState:
-    """In-process shard construction (the SerialExecutor path uses the
-    worker functions too; this helper serves tests and notebooks)."""
-    del shard_id
-    return ShardState(fleet, indices)
+def run_deployment(spec_json: str, index: int) -> Dict[str, Any]:
+    """Point function: build deployment ``index`` of the fleet, run it
+    to the horizon and return its artifact."""
+    state = ShardState(FleetSpec.from_json(spec_json), [index])
+    state.run()
+    return state.finish()[index]

@@ -6,14 +6,20 @@ either way — `tests/test_lab.py` holds the runner to that.  The execution
 strategy is:
 
 * ``jobs <= 1`` — run in-process, serially (the reference behaviour);
-* ``jobs > 1`` — a :class:`repro.dist.executor.LocalPoolExecutor` (the
-  shared executor plane, multiprocessing start method pinned to
-  ``spawn``) with one simulation per worker task.  Workers receive the
-  spec as canonical JSON (cheap to pickle, independent of import state)
-  and return plain dict artifacts.
-* any point whose worker crashes or errors is retried **once**, serially
-  in the parent — a deterministic failure then reproduces with a clean
-  traceback instead of a dead pool.
+* ``jobs > 1`` — a stdlib :class:`concurrent.futures.ProcessPoolExecutor`
+  with the multiprocessing start method pinned to ``spawn``, one
+  simulation per worker task.  Workers receive the spec as canonical
+  JSON (cheap to pickle, independent of import state) and return plain
+  dict artifacts.
+* any point whose worker crashes or errors, or whose arguments cannot
+  reach a worker at all, is retried **once**, serially in the parent — a
+  deterministic failure then reproduces with a clean traceback instead
+  of a dead pool.
+
+``spawn`` on every platform: fork-inherited state is the classic source
+of Linux-vs-macOS and version-to-version divergence, and workers that
+re-import from a clean interpreter are the only configuration whose
+determinism holds everywhere.
 
 ``run_sweep`` layers the content-addressed store on top: cached points
 skip simulation entirely, fresh results are persisted as canonical JSON.
@@ -25,8 +31,6 @@ import dataclasses
 import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-from ..dist import executor as dist_executor
 
 from ..ebs import EbsDeployment, VirtualDisk
 from ..faults import IoHangMonitor, TimedFault
@@ -51,6 +55,9 @@ DRAIN_NS = 100 * MS
 
 #: Environment knob: default worker count for sweeps and benches.
 JOBS_ENV = "REPRO_JOBS"
+
+#: The pinned multiprocessing start method (see module docstring).
+START_METHOD = "spawn"
 
 
 def default_jobs() -> int:
@@ -249,6 +256,13 @@ def _simulate_point(spec_json: str, seed: int) -> Dict[str, Any]:
     return execute_point(ExperimentSpec.from_json(spec_json), seed)
 
 
+def _timed(fn: Callable[..., Any], args: Tuple) -> Tuple[float, Any]:
+    """Worker-side wrapper: the task's result and its own wall seconds."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return time.perf_counter() - t0, result
+
+
 # ----------------------------------------------------------------------
 # Generic parallel map with crash retry
 # ----------------------------------------------------------------------
@@ -263,14 +277,9 @@ def map_parallel(
     Results come back in input order.  ``on_result(index, status, wall_s,
     result)`` streams completions as they happen.  Tasks whose worker
     dies or raises are retried once, serially, in the calling process;
-    a second failure propagates the real exception.  If a task cannot
-    reach a worker at all (e.g. ``fn`` is not picklable under the spawn
-    start method), it runs in the parent instead, so callers never need
-    a platform case-split.
-
-    Execution is delegated to the shared executor plane
-    (:class:`repro.dist.executor.LocalPoolExecutor`); this wrapper keeps
-    the lab's historical status vocabulary and serial fast path.
+    a second failure propagates the real exception.  A task that cannot
+    reach a worker at all (``fn`` or an argument that does not pickle)
+    takes the same retry, so callers never need a platform case-split.
     """
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     n = len(argslist)
@@ -292,22 +301,33 @@ def map_parallel(
             run_serial(i, SIMULATED)
         return results
 
-    #: Executor statuses -> the lab's historical point vocabulary.
-    status_map = {
-        dist_executor.DONE: SIMULATED,
-        dist_executor.RETRIED: RETRIED,
-        dist_executor.FAILED: FAILED,
-    }
+    # Imported here so serial callers and set-up probes never pay for it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
 
-    def relay(index: int, status: str, wall_s: float, result: Any) -> None:
-        if on_result is not None:
-            on_result(index, status_map[status], wall_s, result)
-
-    pool = dist_executor.LocalPoolExecutor(min(jobs, n))
-    try:
-        results = pool.map(fn, argslist, on_result=relay)
-    finally:
-        pool.shutdown()
+    retry: List[int] = []
+    context = multiprocessing.get_context(START_METHOD)
+    with ProcessPoolExecutor(min(jobs, n), mp_context=context) as pool:
+        index_of = {}
+        for i, args in enumerate(argslist):
+            try:
+                index_of[pool.submit(_timed, fn, args)] = i
+            except BrokenProcessPool:  # a worker died while we were submitting
+                retry.append(i)
+        # A crashed worker (BrokenProcessPool), a task's own exception and
+        # a pickling failure all surface from result(); all get the retry.
+        for future in as_completed(index_of):
+            i = index_of[future]
+            try:
+                wall_s, results[i] = future.result()
+            except Exception:
+                retry.append(i)
+                continue
+            if on_result is not None:
+                on_result(i, SIMULATED, wall_s, results[i])
+    for i in sorted(retry):
+        run_serial(i, RETRIED)
     return results
 
 

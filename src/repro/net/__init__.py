@@ -3,7 +3,6 @@ in-band telemetry and failure scenarios."""
 
 from .ecmp import flow_hash, pick
 from .endpoint import Endpoint
-from .fabric import FabricBoundary, ShardMessage
 from .failures import (
     FailureScenario,
     random_drop,
@@ -20,8 +19,6 @@ from .switch import Switch
 from .topology import ClosTopology, PodSpec
 
 __all__ = [
-    "FabricBoundary",
-    "ShardMessage",
     "Packet",
     "IntRecord",
     "FiveTuple",

@@ -39,8 +39,9 @@ def spillover_schedule(
     that lands on a *remote* deployment.
 
     When a node failure's re-replication fans out across the FN fabric
-    (`repro.dist` cross-shard routing), the receiving shard does not run
-    this planner — it only sees the traffic.  This helper is the shape
+    to another deployment of a `repro.dist` fleet, the receiving
+    deployment does not run this planner — it only sees the traffic,
+    scheduled from the fleet spec when it is built.  This helper is the shape
     of that traffic: the same leaky-bucket pacing the
     :class:`~repro.rebuild.executor.RebuildExecutor` applies locally,
     reduced to a deterministic issue schedule the remote deployment can

@@ -1,10 +1,9 @@
-"""Replay a FleetTrace across the shard plane (`repro.dist`).
+"""Replay a FleetTrace as a `repro.dist` fleet.
 
 One trace stream becomes one :class:`~repro.dist.fleet.FleetDeployment`
 carrying the stream's rows as ``trace_rows`` — each deployment replays
-its stream in its own simulator, so the fleet-level run is sharded,
-multi-process, and (by the shard plane's determinism guarantees)
-byte-identical for every ``--shards`` value.
+its stream in its own simulator, as an independent point, so the
+fleet-level run is byte-identical for every ``--shards`` value.
 """
 
 from __future__ import annotations

@@ -137,24 +137,6 @@ class Simulator:
         """Run for a relative duration from the current time."""
         return self.run(until=self.now + int(duration_ns), **kwargs)
 
-    def run_window(self, horizon_ns: int, **kwargs: Any) -> int:
-        """Advance to the absolute ``horizon_ns`` — the conservative
-        lookahead-window stepping API used by the shard plane
-        (:mod:`repro.dist`).
-
-        Exactly :meth:`run` with ``until``, except that a horizon in the
-        past is an error: the clock lands exactly on the horizon, and
-        every event stamped at or before it fires in this window.
-        Returns the number of events processed.
-        """
-        horizon_ns = int(horizon_ns)
-        if horizon_ns < self.now:
-            raise SimulationError(
-                f"window horizon {format_ns(horizon_ns)} is in the past; "
-                f"now is {format_ns(self.now)}"
-            )
-        return self.run(until=horizon_ns, **kwargs)
-
     def stop(self) -> None:
         """Stop the current :meth:`run` after the in-flight event returns."""
         self._stopped = True

@@ -1,12 +1,12 @@
-"""The executor plane: futures, pools, pinning, crash recovery.
+"""Process fan-out: ``map_parallel`` over a spawn process pool.
 
 The contracts under test:
 
-* ``map`` preserves argument order in its results regardless of backend
-  or completion order, and retries each failed task once, serially, in
-  the parent;
-* ``worker=`` pins every call with the same index to the same process —
-  the affinity the shard plane's per-process state depends on;
+* results come back in input order, serially or from worker processes;
+* a failed task is retried once, serially, in the parent, and a second
+  failure raises the real exception;
+* a worker that dies mid-task, and a task whose arguments cannot be
+  pickled, are both recovered by that parent retry;
 * worker processes use the ``spawn`` start method (no forked simulator
   state, identical semantics on every platform);
 * ``REPRO_JOBS`` is validated loudly, not coerced.
@@ -17,11 +17,19 @@ import os
 
 import pytest
 
-from repro.dist import executor as ex
+from repro.lab import runner
 from repro.lab.runner import JOBS_ENV, default_jobs, map_parallel
+
+#: Set in the parent only; a forked worker would inherit it, a spawned
+#: one re-imports this module and sees the default.
+_PARENT_STATE = {"touched": False}
 
 
 def square(x):
+    return x * x
+
+
+def square_first(x, _payload):
     return x * x
 
 
@@ -33,117 +41,95 @@ def fail_on_three(x):
 
 def crash_in_worker(x):
     # os._exit in a *worker* only: the parent retry then succeeds, which
-    # is exactly the crash-recovery path map() promises.
+    # is exactly the crash-recovery path map_parallel promises.
     if multiprocessing.parent_process() is not None:
         os._exit(13)
     return x + 100
 
 
-def worker_pid(_x):
-    return os.getpid()
+def saw_parent_state(_x):
+    return multiprocessing.parent_process() is not None, _PARENT_STATE["touched"]
+
+
+def recorder():
+    statuses = []
+
+    def on_result(index, status, wall_s, result):
+        statuses.append((index, status))
+
+    return statuses, on_result
 
 
 # ----------------------------------------------------------------------
-# SerialExecutor
+# Serial path (jobs=1)
 # ----------------------------------------------------------------------
 def test_serial_map_order_and_stats():
-    with ex.SerialExecutor() as pool:
-        assert pool.map(square, [(i,) for i in range(6)]) == [
-            0, 1, 4, 9, 16, 25
-        ]
-        assert pool.stats.submitted == 6
-        assert pool.stats.completed == 6
-        assert pool.stats.failed == 0
+    statuses, on_result = recorder()
+    assert map_parallel(square, [(i,) for i in range(6)], jobs=1,
+                        on_result=on_result) == [0, 1, 4, 9, 16, 25]
+    assert statuses == [(i, "simulated") for i in range(6)]
 
 
 def test_serial_submit_future_error():
-    with ex.SerialExecutor() as pool:
-        future = pool.submit(fail_on_three, 3)
-        pool.wait([future])
-        assert future.status == ex.FAILED
-        with pytest.raises(ex.TaskError, match="three is right out"):
-            future.result()
+    # Serially there is no second attempt: the real exception surfaces
+    # at once, after a "failed" status for the task that raised.
+    statuses, on_result = recorder()
+    with pytest.raises(ValueError, match="three is right out"):
+        map_parallel(fail_on_three, [(i,) for i in range(5)], jobs=1,
+                     on_result=on_result)
+    assert statuses[-1] == (3, "failed")
 
 
 # ----------------------------------------------------------------------
-# LocalPoolExecutor
+# Process pool (jobs > 1)
 # ----------------------------------------------------------------------
 def test_pool_map_order():
-    with ex.LocalPoolExecutor(2) as pool:
-        assert pool.map(square, [(i,) for i in range(8)]) == [
-            i * i for i in range(8)
-        ]
+    assert map_parallel(square, [(i,) for i in range(8)], jobs=2) == [
+        i * i for i in range(8)
+    ]
 
 
 def test_pool_uses_spawn_start_method():
-    assert ex.START_METHOD == "spawn"
-    with ex.LocalPoolExecutor(1) as pool:
-        assert pool._ctx.get_start_method() == "spawn"
-
-
-def test_pool_worker_pinning():
-    with ex.LocalPoolExecutor(2) as pool:
-        futures = [
-            pool.submit(worker_pid, i, worker=i % 2) for i in range(6)
-        ]
-        pool.wait(futures)
-        pids = [f.result() for f in futures]
-    # Same slot -> same process, different slots -> different processes.
-    assert len({pids[0], pids[2], pids[4]}) == 1
-    assert len({pids[1], pids[3], pids[5]}) == 1
-    assert pids[0] != pids[1]
-    for pid in pids:
-        assert pid != os.getpid()
+    assert runner.START_METHOD == "spawn"
+    _PARENT_STATE["touched"] = True
+    try:
+        seen = map_parallel(saw_parent_state, [(0,), (1,)], jobs=2)
+    finally:
+        _PARENT_STATE["touched"] = False
+    assert seen == [(True, False), (True, False)]
 
 
 def test_pool_map_retries_failure_serially_then_raises():
-    events = []
-    with ex.LocalPoolExecutor(2, on_event=events.append) as pool:
-        # The serial retry surfaces the *real* exception, not a wrapper —
-        # that is the lab contract map_parallel documents.
-        with pytest.raises(ValueError, match="three is right out"):
-            pool.map(fail_on_three, [(i,) for i in range(5)])
-        assert pool.stats.retried == 1  # the retry was attempted...
-        assert pool.stats.failed >= 1  # ...and failed again
-    assert any(e.status == ex.FAILED for e in events)
+    statuses, on_result = recorder()
+    # The serial retry surfaces the *real* exception, not a wrapper.
+    with pytest.raises(ValueError, match="three is right out"):
+        map_parallel(fail_on_three, [(i,) for i in range(5)], jobs=2,
+                     on_result=on_result)
+    assert statuses[-1] == (3, "failed")
+    assert sorted(i for i, s in statuses if s == "simulated") == [0, 1, 2, 4]
 
 
 def test_pool_map_recovers_from_worker_crash():
-    with ex.LocalPoolExecutor(2) as pool:
-        results = pool.map(crash_in_worker, [(i,) for i in range(4)])
-        assert results == [100, 101, 102, 103]
-        assert pool.stats.crashes >= 1
-        assert pool.stats.retried >= 1
-
-
-def test_pool_submit_to_dead_slot_fails_loudly():
-    with ex.LocalPoolExecutor(1) as pool:
-        first = pool.submit(crash_in_worker, 0, worker=0)
-        pool.wait([first])
-        assert first.status == ex.FAILED
-        with pytest.raises(ex.WorkerCrashError):
-            first.result()
-        # The slot stays dead: pinned work must not silently run inline.
-        second = pool.submit(worker_pid, 0, worker=0)
-        pool.wait([second])
-        with pytest.raises(ex.WorkerCrashError):
-            second.result()
+    statuses, on_result = recorder()
+    results = map_parallel(crash_in_worker, [(i,) for i in range(4)], jobs=2,
+                           on_result=on_result)
+    assert results == [100, 101, 102, 103]
+    assert (0, "retried") in statuses
 
 
 def test_pool_unpicklable_args_run_inline():
-    with ex.LocalPoolExecutor(1) as pool:
-        future = pool.submit(square, 4)  # warm: normal path
-        pool.wait([future])
-        assert future.result() == 16
-        bad = pool.submit(square, lambda: None)  # unpicklable arg
-        pool.wait([bad])
-        assert pool.stats.inline >= 1
-        with pytest.raises(ex.TaskError):
-            bad.result()
+    statuses, on_result = recorder()
+    unpicklable = lambda: None  # noqa: E731
+    results = map_parallel(
+        square_first, [(2, unpicklable), (3, unpicklable)],
+        jobs=2, on_result=on_result,
+    )
+    assert results == [4, 9]
+    assert sorted(statuses) == [(0, "retried"), (1, "retried")]
 
 
 # ----------------------------------------------------------------------
-# repro.lab integration (satellites: REPRO_JOBS validation, spawn pin)
+# REPRO_JOBS and the lab's status vocabulary
 # ----------------------------------------------------------------------
 def test_default_jobs_validation(monkeypatch):
     monkeypatch.delenv(JOBS_ENV, raising=False)
@@ -157,11 +143,7 @@ def test_default_jobs_validation(monkeypatch):
 
 
 def test_map_parallel_rides_executor_plane():
-    statuses = []
-
-    def on_result(index, status, wall_s, result):
-        statuses.append((index, status))
-
+    statuses, on_result = recorder()
     results = map_parallel(
         square, [(i,) for i in range(4)], jobs=2, on_result=on_result
     )

@@ -1,12 +1,12 @@
-"""The shard plane: fleet specs, fabric boundaries, digest determinism.
+"""The fleet plane: fleet specs, independent deployment points, digest
+determinism.
 
 The headline guarantee under test: a fleet's result digest is a pure
-function of its spec — byte-identical across shard counts 1/2/4 and
-across in-process and multi-process execution.
+function of its spec — every deployment runs alone, in any process, and
+the merged result is byte-identical for every worker count.
 """
 
 import dataclasses
-import json
 
 import pytest
 
@@ -14,17 +14,14 @@ from repro.dist import (
     FleetDeployment,
     FleetEvent,
     FleetSpec,
-    SerialExecutor,
-    partition,
     reference_fleet,
     run_fleet,
 )
-from repro.net.fabric import FabricBoundary, ShardMessage, message_sort_key
-from repro.sim import MS, Simulator
-from repro.sim.engine import SimulationError
+from repro.dist.shardsim import DeploymentSim, ShardState, run_deployment
+from repro.sim import MS
 
 #: A fleet small enough for CI: 4 deployments, short runtime, trimmed
-#: drain window — still exercising every cross-shard event kind.
+#: drain window — still exercising every cross-deployment event kind.
 def small_fleet(deployments=4, runtime_ns=3 * MS):
     spec = reference_fleet(deployments=deployments, runtime_ns=runtime_ns)
     return dataclasses.replace(spec, drain_ns=3 * MS)
@@ -42,7 +39,7 @@ def test_fleet_spec_roundtrip_and_digest():
     renamed = dataclasses.replace(spec, name="other")
     assert renamed.digest() == spec.digest()
     # Any load-bearing knob must move it.
-    rewired = dataclasses.replace(spec, window_ns=spec.window_ns // 2)
+    rewired = dataclasses.replace(spec, crossing_ns=spec.crossing_ns * 2)
     assert rewired.digest() != spec.digest()
 
 
@@ -50,8 +47,8 @@ def test_fleet_spec_validation():
     dep = FleetDeployment()
     with pytest.raises(ValueError, match="at least one deployment"):
         FleetSpec(deployments=())
-    with pytest.raises(ValueError, match="lookahead"):
-        FleetSpec(deployments=(dep, dep), window_ns=2 * MS, crossing_ns=1 * MS)
+    with pytest.raises(ValueError, match="crossing_ns"):
+        FleetSpec(deployments=(dep, dep), crossing_ns=0)
     with pytest.raises(ValueError, match="only 2"):
         FleetSpec(
             deployments=(dep, dep),
@@ -68,95 +65,76 @@ def test_fleet_spec_validation():
         )
 
 
-def test_partition_round_robin():
-    assert partition(4, 1) == [[0, 1, 2, 3]]
-    assert partition(4, 2) == [[0, 2], [1, 3]]
-    assert partition(4, 4) == [[0], [1], [2], [3]]
-    # More shards than deployments: clamped, never an empty shard.
-    assert partition(2, 4) == [[0], [1]]
-    with pytest.raises(ValueError):
-        partition(4, 0)
+def test_oversized_migration_rejected():
+    # A migrated I/O larger than the destination VD has no slot to land
+    # in; the spec must refuse it instead of the destination dividing
+    # by zero slots mid-run.
+    small, big = FleetDeployment(vd_size_mb=1), FleetDeployment(vd_size_mb=64)
+    oversized = FleetEvent(at_ns=MS, kind="migration", src=1, dst=0, size_kb=2048)
+    with pytest.raises(ValueError, match="exceeds"):
+        FleetSpec(deployments=(small, big), events=(oversized,))
+    # The same I/O fits a larger destination, and a VD-sized one fits.
+    FleetSpec(deployments=(big, small), events=(oversized,))
+    FleetSpec(deployments=(small, big),
+              events=(dataclasses.replace(oversized, size_kb=1024),))
 
 
-def test_windows_cover_horizon_exactly():
+# ----------------------------------------------------------------------
+# Independent deployment points
+# ----------------------------------------------------------------------
+def test_each_deployment_runs_alone():
+    """Every deployment run by itself yields the artifact it has in the
+    full fleet run: no deployment depends on another's simulation."""
     spec = small_fleet()
-    horizons = spec.windows()
-    assert horizons[-1] == spec.effective_horizon_ns
-    assert all(b - a <= spec.window_ns for a, b in zip(horizons, horizons[1:]))
-    assert horizons == sorted(set(horizons))
+    fleet = run_fleet(spec, shards=1)
+    for index in range(len(spec.deployments)):
+        alone = run_deployment(spec.to_json(), index)
+        assert alone == fleet.artifacts[index]
+        assert alone["end_ns"] == spec.effective_horizon_ns
 
 
-# ----------------------------------------------------------------------
-# Fabric boundary
-# ----------------------------------------------------------------------
-def test_fabric_boundary_enforces_lookahead():
-    sim = Simulator(seed=1)
-    boundary = FabricBoundary(sim, src=0, crossing_ns=1000)
-    msg = boundary.export("rebuild", 1, {"size_kb": 4})
-    assert msg.deliver_at_ns == 1000
-    with pytest.raises(ValueError, match="lookahead"):
-        boundary.export("rebuild", 1, {}, deliver_at_ns=999)
-    later = boundary.export("rebuild", 1, {}, deliver_at_ns=5000)
-    assert boundary.drain() == [msg, later]
-    assert boundary.drain() == []
-    assert boundary.exported == 2
-
-
-def test_shard_message_total_order_and_roundtrip():
-    msgs = [
-        ShardMessage(200, 1, 0, 0, "rebuild", {}),
-        ShardMessage(100, 2, 0, 0, "rebuild", {}),
-        ShardMessage(100, 1, 1, 0, "rebuild", {}),
-        ShardMessage(100, 1, 0, 0, "rebuild", {}),
-    ]
-    ordered = sorted(msgs, key=message_sort_key)
-    assert [message_sort_key(m) for m in ordered] == sorted(
-        message_sort_key(m) for m in msgs
+def test_same_ns_inbound_applies_in_at_src_spec_order(monkeypatch):
+    # Three events reach deployment 0 at the same instant, listed out of
+    # order; the destination applies them by (at_ns, src), ties in spec
+    # order.
+    dep = FleetDeployment(runtime_ns=2 * MS)
+    events = (
+        FleetEvent(at_ns=MS, kind="migration", src=2, dst=0, count=1),
+        FleetEvent(at_ns=MS, kind="incident", src=1, dst=0),
+        FleetEvent(at_ns=MS, kind="migration", src=1, dst=0, count=2),
+        FleetEvent(at_ns=MS // 2, kind="node_fault", src=2, dst=0),
     )
-    again = ShardMessage.from_dict(json.loads(json.dumps(msgs[0].to_dict())))
-    assert again == msgs[0]
-
-
-def test_run_window_never_overshoots_past_ghosts():
-    # A cancelled timer heading the queue must not let a live event past
-    # the horizon fire inside this window.
-    sim = Simulator(seed=0)
-    fired = []
-    ghost = sim.schedule(500, fired.append, "ghost")
-    sim.schedule(2000, fired.append, "late")
-    ghost.cancel()
-    sim.run_window(1000)
-    assert sim.now == 1000
-    assert fired == []
-    sim.run_window(3000)
-    assert fired == ["late"]
-    with pytest.raises(SimulationError, match="past"):
-        sim.run_window(10)
+    spec = FleetSpec(deployments=(dep, dep, dep), events=events)
+    applied = []
+    monkeypatch.setattr(
+        DeploymentSim, "_apply_event",
+        lambda self, event: applied.append((self.sim.now, events.index(event))),
+    )
+    sim = DeploymentSim(spec, 0)
+    sim.run()
+    half, one = MS // 2 + spec.crossing_ns, MS + spec.crossing_ns
+    assert applied == [(half, 3), (one, 1), (one, 2), (one, 0)]
+    assert sim.finish()["messages_in"] == 4
 
 
 # ----------------------------------------------------------------------
-# Determinism across shard layouts
+# Determinism across worker layouts
 # ----------------------------------------------------------------------
 def test_digest_identical_across_shard_counts_in_process():
-    """Shard counts 1/2/4 — same digest, same artifacts, same rollup.
-
-    In-process executors keep this case fast; the multi-process identity
-    is pinned separately below and in CI's dist --check smoke.
-    """
+    """Any in-process grouping of deployments — one set or one per
+    deployment — gives the fleet run's artifacts."""
     spec = small_fleet()
-    results = {
-        shards: run_fleet(spec, shards=shards, executor=SerialExecutor())
-        for shards in (1, 2, 4)
-    }
-    digests = {r.digest for r in results.values()}
-    assert len(digests) == 1, digests
-    reference = results[1]
-    for r in results.values():
-        assert r.artifacts == reference.artifacts
-        assert r.summary == reference.summary
-        assert r.events_processed == reference.events_processed
-    # The run did real cross-shard work, so the equality is meaningful.
+    reference = run_fleet(spec, shards=1)
+    for layout in ([[0, 2], [1, 3]], [[3], [1], [0], [2]]):
+        artifacts = {}
+        for indices in layout:
+            state = ShardState(spec, indices)
+            state.run()
+            artifacts.update(state.finish())
+        assert [artifacts[i] for i in sorted(artifacts)] == reference.artifacts
+    # The run did real cross-deployment work, so the equality is meaningful.
     assert reference.messages_routed == 3
+    assert reference.windows == 1
     assert reference.summary["remote_incidents"] == 1
     assert reference.summary["injected_completed"] > 0
     assert reference.summary["completed"] > 0
@@ -165,14 +143,16 @@ def test_digest_identical_across_shard_counts_in_process():
 def test_digest_identical_under_multiprocess_pool():
     spec = small_fleet(deployments=2)
     serial = run_fleet(spec, shards=1)
-    pooled = run_fleet(spec, shards=2)  # LocalPoolExecutor, spawn workers
+    finished = []
+    pooled = run_fleet(spec, shards=2, progress=lambda *a: finished.append(a))
     assert pooled.shards == 2
     assert pooled.digest == serial.digest
     assert pooled.artifacts == serial.artifacts
+    assert sorted(finished) == [(1, 2), (2, 2)]
 
 
 def test_dropped_messages_are_counted():
-    # An event so close to the horizon its message can never land.
+    # An event so close to the horizon its effect can never land.
     dep = FleetDeployment(runtime_ns=2 * MS)
     spec = FleetSpec(
         deployments=(dep, dep),
@@ -184,3 +164,6 @@ def test_dropped_messages_are_counted():
     result = run_fleet(spec, shards=1)
     assert result.messages_dropped == 1
     assert result.messages_routed == 0
+    assert result.artifacts[0]["messages_out"] == 1
+    assert result.artifacts[1]["messages_in"] == 0
+    assert result.artifacts[1]["injected_issued"] == 0

@@ -183,7 +183,7 @@ class TestTimedFault:
         sim.run(until=100 * MS)  # second revert is a harmless no-op
         assert tor.blackhole_fraction == 0
 
-    def test_fault_after_run_window_is_noop(self):
+    def test_fault_after_run_horizon_is_noop(self):
         # Scheduling a fault beyond the horizon the experiment runs to must
         # neither fire nor crash the drained simulator.
         from repro.net import ClosTopology, PodSpec

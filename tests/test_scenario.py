@@ -15,7 +15,7 @@ The headline invariants under test:
 * **Catalog** scenarios (all six) pass their SLO gates.
 * **Envelope** v2 unifies chaos and workload scenarios; legacy v1 chaos
   files still load and replay byte-identically.
-* **Shard plane** trace fleets keep the digest-identical-across-shards
+* **Fleet plane** trace fleets keep the digest-identical-across-workers
   guarantee, and empty ``trace_rows`` stay out of the fleet
   serialization so pre-existing fleet digests are pinned.
 """
@@ -30,7 +30,7 @@ import pytest
 
 from repro.chaos.harness import replay_scenario
 from repro.chaos.scenario import ChaosScenario
-from repro.dist import FleetSpec, SerialExecutor, run_fleet
+from repro.dist import FleetSpec, run_fleet
 from repro.dist.fleet import FleetDeployment
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
 from repro.lab.spec import canonical_json
@@ -637,7 +637,7 @@ class TestEnvelope:
 
 
 # ----------------------------------------------------------------------
-# Trace fleets on the shard plane
+# Trace fleets on the fleet plane
 # ----------------------------------------------------------------------
 class TestTraceFleet:
     def test_fleet_from_trace_shape(self):
@@ -654,8 +654,8 @@ class TestTraceFleet:
 
     def test_trace_fleet_digest_identical_across_shards(self):
         fleet = fleet_from_trace(mini_trace(), stacks=("solar", "luna"))
-        one = run_fleet(fleet, shards=1, executor=SerialExecutor())
-        two = run_fleet(fleet, shards=2, executor=SerialExecutor())
+        one = run_fleet(fleet, shards=1)
+        two = run_fleet(fleet, shards=2)
         assert one.digest == two.digest
         assert one.artifacts == two.artifacts
         issued = [a["issued"] for a in one.artifacts]
