@@ -115,28 +115,3 @@ def run_single_ios(
 def once(benchmark, fn: Callable, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def profile_once(fn: Callable, *args, sort: str = "cumulative",
-                 top: int = 30, out_path: Optional[str] = None, **kwargs):
-    """Run ``fn`` under :mod:`cProfile`, print the ``top`` hottest rows.
-
-    The in-process companion to the shell one-liner (which profiles the
-    kernel reference workload with zero harness frames on top)::
-
-        cd benchmarks && PYTHONPATH=../src:. \\
-            python -m cProfile -s cumtime bench_kernel_events.py | head -40
-
-    Pass ``out_path`` to also dump raw stats for ``pstats``/snakeviz.
-    Returns ``fn``'s result, so a bench can be profiled without
-    re-plumbing its assertions.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    result = profiler.runcall(fn, *args, **kwargs)
-    if out_path:
-        profiler.dump_stats(out_path)
-    pstats.Stats(profiler).sort_stats(sort).print_stats(top)
-    return result

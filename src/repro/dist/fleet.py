@@ -40,10 +40,7 @@ class FleetDeployment:
     """One deployment of the fleet: shape, seed and foreground load.
 
     The load is the closed-loop fio job described by ``block_sizes``/
-    ``iodepth``/``read_fraction``/``runtime_ns`` — unless ``trace_rows``
-    is non-empty, in which case the deployment replays those recorded
-    (at_ns, kind, offset, size) rows instead (a `repro.scenario` fleet
-    trace stream) and the fio fields are ignored.
+    ``iodepth``/``read_fraction``/``runtime_ns``.
     """
 
     stack: str = "solar"
@@ -57,9 +54,6 @@ class FleetDeployment:
     iodepth: int = 8
     read_fraction: float = 0.5
     runtime_ns: int = 20 * MS
-    #: Recorded I/O rows to replay instead of the fio load.  Serialized
-    #: only when non-empty, so fio-only fleets keep their digests.
-    trace_rows: Tuple[Tuple[int, str, int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.iodepth < 1:
@@ -70,17 +64,6 @@ class FleetDeployment:
             raise ValueError(f"vd_size_mb must be positive: {self.vd_size_mb}")
         if not self.block_sizes:
             raise ValueError("block_sizes cannot be empty")
-        for row in self.trace_rows:
-            at_ns, kind, offset, size = row
-            if at_ns < 0 or offset < 0 or size <= 0 or kind not in ("read", "write"):
-                raise ValueError(f"invalid trace row: {row}")
-
-    @property
-    def workload_horizon_ns(self) -> int:
-        """Simulated time by which the last I/O has been issued."""
-        if self.trace_rows:
-            return max(row[0] for row in self.trace_rows)
-        return self.runtime_ns
 
 
 @dataclass(frozen=True)
@@ -182,7 +165,7 @@ class FleetSpec:
     def effective_horizon_ns(self) -> int:
         if self.horizon_ns is not None:
             return self.horizon_ns
-        return max(d.workload_horizon_ns for d in self.deployments) + self.drain_ns
+        return max(d.runtime_ns for d in self.deployments) + self.drain_ns
 
     def delivered(self, event: FleetEvent) -> bool:
         """Whether ``event``'s effect lands on its destination before
@@ -194,12 +177,6 @@ class FleetSpec:
         d = dataclasses.asdict(self)
         for dep in d["deployments"]:
             dep["block_sizes"] = list(dep["block_sizes"])
-            # Omitted when empty: fleets recorded before trace replay
-            # existed must keep their digests byte-identical.
-            if dep["trace_rows"]:
-                dep["trace_rows"] = [list(row) for row in dep["trace_rows"]]
-            else:
-                del dep["trace_rows"]
         return d
 
     def to_json(self) -> str:
@@ -215,9 +192,6 @@ class FleetSpec:
             for dep in d.pop("deployments"):
                 dep = dict(dep)
                 dep["block_sizes"] = tuple(dep["block_sizes"])
-                dep["trace_rows"] = tuple(
-                    tuple(row) for row in dep.pop("trace_rows", ())
-                )
                 deployments.append(FleetDeployment(**dep))
             events = tuple(FleetEvent(**e) for e in d.pop("events"))
             return cls(deployments=tuple(deployments), events=events, **d)

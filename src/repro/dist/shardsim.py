@@ -25,57 +25,11 @@ from ..net.failures import switch_blackhole
 from ..rebuild.planner import spillover_schedule
 from ..telemetry.sketch import QuantileSketch
 from ..workloads.fio import FioJob, FioSpec
-from ..workloads.replay import IoRecord, replay
 from .fleet import FleetEvent, FleetSpec
 
 #: Chunk size for injected cross-deployment streams (rebuild spillover
 #: and migrated rebuild reads) — one BN-friendly unit, block aligned.
 INJECT_CHUNK_BYTES = 64 * 1024
-
-
-class _TraceJob:
-    """Trace replay behind a FioJob-shaped face.
-
-    A deployment with ``trace_rows`` drives
-    :func:`repro.workloads.replay.replay` instead of a closed-loop fio
-    job; this adapter exposes the counter attributes ``finish()`` reads
-    (``issues``/``completed``/``failed``/``bytes_moved``/``latency``) so
-    the artifact path is one code path for both load kinds.
-    """
-
-    def __init__(self, sim, vd, rows, on_issue):
-        self._sim = sim
-        self._vd = vd
-        self._records = [IoRecord(*row) for row in rows]
-        self._on_issue = on_issue
-        self._result = None
-
-    def start(self) -> None:
-        self._result = replay(
-            self._sim, self._vd, self._records, on_issue=self._on_issue
-        )
-
-    @property
-    def issues(self) -> int:
-        return self._result.issued if self._result else 0
-
-    @property
-    def completed(self) -> int:
-        return self._result.completed if self._result else 0
-
-    @property
-    def failed(self) -> int:
-        return self._result.failed if self._result else 0
-
-    @property
-    def bytes_moved(self) -> int:
-        return self._result.issued_bytes if self._result else 0
-
-    @property
-    def latency(self):
-        if self._result is None:
-            raise RuntimeError("trace job was never started")
-        return self._result.latency
 
 
 class DeploymentSim:
@@ -106,23 +60,18 @@ class DeploymentSim:
         )
         self.health = HealthMonitor(self.sim)
         self.hangs = IoHangMonitor(self.sim, on_hang=self.health.report_hang)
-        if dep.trace_rows:
-            self.job = _TraceJob(
-                self.sim, self.vd, dep.trace_rows, on_issue=self.hangs.watch
-            )
-        else:
-            self.job = FioJob(
-                self.sim,
-                self.vd,
-                FioSpec(
-                    block_sizes=tuple(dep.block_sizes),
-                    iodepth=dep.iodepth,
-                    read_fraction=dep.read_fraction,
-                    runtime_ns=dep.runtime_ns,
-                    name=f"dist-d{index}",
-                ),
-                on_issue=self.hangs.watch,
-            )
+        self.job = FioJob(
+            self.sim,
+            self.vd,
+            FioSpec(
+                block_sizes=tuple(dep.block_sizes),
+                iodepth=dep.iodepth,
+                read_fraction=dep.read_fraction,
+                runtime_ns=dep.runtime_ns,
+                name=f"dist-d{index}",
+            ),
+            on_issue=self.hangs.watch,
+        )
         self.injected_issued = 0
         self.injected_completed = 0
         self.injected_failed = 0

@@ -23,7 +23,6 @@ from .catalog import (
     trace_scenario,
 )
 from .envelope import ENVELOPE_KINDS, load_envelope, save_envelope
-from .fleet import fleet_from_trace
 from .importers import IMPORT_FORMATS, ImportOptions, import_trace
 from .record import FleetTraceRecorder
 from .run import REPORT_SCHEMA_VERSION, record_scenario, run_scenario
@@ -52,7 +51,6 @@ __all__ = [
     "StreamMeta",
     "ENVELOPE_KINDS",
     "catalog_names",
-    "fleet_from_trace",
     "from_records",
     "load_envelope",
     "save_envelope",

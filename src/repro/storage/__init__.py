@@ -13,7 +13,7 @@ from .crc import (
     crc32_xor_identity_offset,
     xor_bytes,
 )
-from .crypto import BlockCipher, maybe_decrypt, maybe_encrypt
+from .crypto import BlockCipher
 from .qos import QosSpec, QosTable, TokenBucket
 from .replication import QuorumTracker
 from .segment_table import (
@@ -36,8 +36,6 @@ __all__ = [
     "crc32_xor_identity_offset",
     "xor_bytes",
     "BlockCipher",
-    "maybe_encrypt",
-    "maybe_decrypt",
     "SsdDevice",
     "lognormal_around",
     "ChunkServer",

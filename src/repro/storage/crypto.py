@@ -16,7 +16,6 @@ thing.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 
 class BlockCipher:
@@ -53,20 +52,3 @@ class BlockCipher:
     def decrypt(self, vd_id: str, lba: int, ciphertext: bytes) -> bytes:
         # XOR keystream is an involution.
         return self.encrypt(vd_id, lba, ciphertext)
-
-
-def maybe_encrypt(
-    cipher: Optional[BlockCipher], vd_id: str, lba: int, data: Optional[bytes]
-) -> Optional[bytes]:
-    """Encrypt if both a cipher and real payload bytes are present."""
-    if cipher is None or data is None:
-        return data
-    return cipher.encrypt(vd_id, lba, data)
-
-
-def maybe_decrypt(
-    cipher: Optional[BlockCipher], vd_id: str, lba: int, data: Optional[bytes]
-) -> Optional[bytes]:
-    if cipher is None or data is None:
-        return data
-    return cipher.decrypt(vd_id, lba, data)

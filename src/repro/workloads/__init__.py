@@ -7,7 +7,6 @@ from .distributions import (
     READ_FRACTION,
     SizeDistribution,
     diurnal_iops,
-    sample_kind,
     weekly_modulation,
 )
 from .fio import FioJob, FioResult, FioSpec, run_fio
@@ -31,7 +30,6 @@ __all__ = [
     "IO_SIZE_PMF",
     "READ_FRACTION",
     "EBS_TX_SHARE",
-    "sample_kind",
     "diurnal_iops",
     "weekly_modulation",
 ]

@@ -69,11 +69,6 @@ class SizeDistribution:
         return sum(s * p for s, p in self.pmf)
 
 
-def sample_kind(rng: random.Random, read_fraction: float = READ_FRACTION) -> str:
-    """Draw 'read' or 'write' with the production mix."""
-    return "read" if rng.random() < read_fraction else "write"
-
-
 def diurnal_iops(hour_of_day: float, base_iops: float = 60_000.0,
                  peak_iops: float = 200_000.0) -> float:
     """Figure 4's daily IOPS curve for a highly-loaded server.

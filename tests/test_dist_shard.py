@@ -41,6 +41,12 @@ def test_fleet_spec_roundtrip_and_digest():
     # Any load-bearing knob must move it.
     rewired = dataclasses.replace(spec, crossing_ns=spec.crossing_ns * 2)
     assert rewired.digest() != spec.digest()
+    # A field the spec does not know, such as the removed ``trace_rows``,
+    # makes the spec malformed rather than being ignored.
+    payload = spec.to_dict()
+    payload["deployments"][0]["trace_rows"] = [[0, "read", 0, 4096]]
+    with pytest.raises(ValueError, match="malformed fleet spec"):
+        FleetSpec.from_dict(payload)
 
 
 def test_fleet_spec_validation():

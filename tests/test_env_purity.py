@@ -4,7 +4,9 @@ change an outcome.
 ``REPRO_JOBS`` picks a worker count, which changes wall time but never
 an artifact byte.  It is the only environment variable the package
 reads; the knobs that once selected the scheduler and the link path are
-gone, and setting them must not move an artifact.
+gone, and setting them must not move an artifact.  The bench and check
+scripts read no environment variable at all: a knob there could change
+what a bench reports or whether a check passes.
 """
 
 import ast
@@ -17,7 +19,9 @@ from repro.ebs import DeploymentSpec
 from repro.lab import ExperimentSpec, WorkloadSpec, canonical_json, execute_point
 from repro.sim import MS
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def _module_constants(tree: ast.Module) -> dict:
@@ -78,6 +82,17 @@ def test_repro_jobs_is_the_only_environment_read():
         for line, key in _environment_reads(path):
             found.setdefault(key, []).append(f"{path.relative_to(SRC)}:{line}")
     assert set(found) == {"REPRO_JOBS"}, found
+
+
+def test_bench_scripts_read_no_environment():
+    # Only the top-level scripts: the frozen ``benchmarks/e2e/`` harness
+    # copies the environment into the child processes it times.
+    found = [
+        f"{path.name}:{line} {key}"
+        for path in sorted(BENCHMARKS.glob("*.py"))
+        for line, key in _environment_reads(path)
+    ]
+    assert found == [], found
 
 
 def test_lab_artifact_ignores_retired_knobs():

@@ -15,9 +15,6 @@ The headline invariants under test:
 * **Catalog** scenarios (all six) pass their SLO gates.
 * **Envelope** v2 unifies chaos and workload scenarios; legacy v1 chaos
   files still load and replay byte-identically.
-* **Fleet plane** trace fleets keep the digest-identical-across-workers
-  guarantee, and empty ``trace_rows`` stay out of the fleet
-  serialization so pre-existing fleet digests are pinned.
 """
 
 import dataclasses
@@ -30,8 +27,6 @@ import pytest
 
 from repro.chaos.harness import replay_scenario
 from repro.chaos.scenario import ChaosScenario
-from repro.dist import FleetSpec, run_fleet
-from repro.dist.fleet import FleetDeployment
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
 from repro.lab.spec import canonical_json
 from repro.lab.store import ResultStore
@@ -45,7 +40,6 @@ from repro.scenario import (
     SloGate,
     StreamMeta,
     catalog_names,
-    fleet_from_trace,
     from_records,
     get_scenario,
     import_trace,
@@ -57,7 +51,7 @@ from repro.scenario import (
     trace_scenario,
 )
 from repro.scenario.envelope import envelope_kind
-from repro.sim import MS, US, Simulator
+from repro.sim import US, Simulator
 from repro.workloads.replay import (
     IoRecord,
     TraceFormatError,
@@ -634,64 +628,3 @@ class TestEnvelope:
         payload["digest"] = "0" * 16
         with pytest.raises(ValueError, match="digest mismatch"):
             Scenario.from_dict(payload)
-
-
-# ----------------------------------------------------------------------
-# Trace fleets on the fleet plane
-# ----------------------------------------------------------------------
-class TestTraceFleet:
-    def test_fleet_from_trace_shape(self):
-        trace = mini_trace(vd_size_mb=48)
-        fleet = fleet_from_trace(trace, stacks=("solar", "luna"), seed=7)
-        assert len(fleet.deployments) == 2
-        assert [d.stack for d in fleet.deployments] == ["solar", "luna"]
-        assert [d.seed for d in fleet.deployments] == [7, 8]
-        assert all(d.vd_size_mb == 48 for d in fleet.deployments)
-        assert fleet.name == "trace-mini"
-        assert len(fleet.deployments[0].trace_rows) == 12
-        with pytest.raises(ValueError, match="at least one stack"):
-            fleet_from_trace(trace, stacks=())
-
-    def test_trace_fleet_digest_identical_across_shards(self):
-        fleet = fleet_from_trace(mini_trace(), stacks=("solar", "luna"))
-        one = run_fleet(fleet, shards=1)
-        two = run_fleet(fleet, shards=2)
-        assert one.digest == two.digest
-        assert one.artifacts == two.artifacts
-        issued = [a["issued"] for a in one.artifacts]
-        assert issued == [12, 6]  # every trace row replayed, per stream
-        assert all(a["completed"] == a["issued"] for a in one.artifacts)
-
-    def test_empty_trace_rows_stay_out_of_the_serialization(self):
-        legacy = FleetSpec(deployments=(FleetDeployment(), FleetDeployment()))
-        payload = json.loads(legacy.to_json())
-        # Fleets recorded before trace replay existed must keep their
-        # digests: the new field is omitted when empty.
-        assert all("trace_rows" not in d for d in payload["deployments"])
-        assert FleetSpec.from_json(legacy.to_json()) == legacy
-
-    def test_trace_rows_roundtrip_and_move_the_digest(self):
-        rows = ((0, "read", 0, 4096), (5 * US, "write", 8192, 4096))
-        dep = FleetDeployment(trace_rows=rows)
-        spec = FleetSpec(deployments=(dep, FleetDeployment()))
-        again = FleetSpec.from_json(spec.to_json())
-        assert again == spec
-        assert again.deployments[0].trace_rows == rows
-        plain = FleetSpec(deployments=(FleetDeployment(), FleetDeployment()))
-        assert spec.digest() != plain.digest()
-
-    def test_trace_rows_validation(self):
-        for rows in (((-1, "read", 0, 4096),), ((0, "zap", 0, 4096),),
-                     ((0, "read", -4096, 4096),), ((0, "read", 0, 0),)):
-            with pytest.raises(ValueError):
-                FleetDeployment(trace_rows=rows)
-
-    def test_workload_horizon_follows_the_trace(self):
-        dep = FleetDeployment(runtime_ns=2 * MS)
-        assert dep.workload_horizon_ns == 2 * MS
-        traced = FleetDeployment(
-            runtime_ns=2 * MS, trace_rows=((9 * MS, "read", 0, 4096),)
-        )
-        assert traced.workload_horizon_ns == 9 * MS
-        spec = FleetSpec(deployments=(traced, dep))
-        assert spec.effective_horizon_ns >= 9 * MS
