@@ -47,11 +47,11 @@ from repro.scenario import (
 from repro.sim import MS
 from repro.workloads import FioJob, FioSpec
 
-KERNEL_EVENTS = 1_949_398
+KERNEL_EVENTS = 1_565_743
 KERNEL_IOS = 18_115
 
-FLEET_DIGEST = "251298ac37cdc34ca8752b16399166d90f4b79b8023c73caf63032118fcdeb21"
-FLEET_EVENTS = 361_185
+FLEET_DIGEST = "93b1810f99c9dba07995b62181ac6478704210e1a1ef6267801b062d0e626bd0"
+FLEET_EVENTS = 274_519
 FLEET_IOS = 3_257
 FLEET_WORKERS = (1, 2)
 

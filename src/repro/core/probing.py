@@ -90,6 +90,7 @@ class PathProber:
             size_bytes=PROBE_BYTES,
             headers={"solar": {"op": PROBE_OP, "probe_id": probe_id,
                                "path_id": path.path_id, "prober": self}},
+            int_records=[],  # echoed back as the path's probed congestion
         )
         # A probe unanswered by the next tick counts as lost.
         self.sim.schedule(self.interval_ns, self._check_probe, probe_id)

@@ -421,6 +421,7 @@ class SolarClient:
                 }
             },
             payload=pkt.wire_payload,
+            int_records=[],  # echoed in the ACK for CC
         )
         manager.on_sent(path, size)
         if pkt.timer is not None:
@@ -767,6 +768,7 @@ class SolarServer:
             size + self.profiles.network.header_overhead_bytes
         )
         response.payload = reply.data
+        response.int_records = []  # read by the client's CC
         response.headers["solar"] = {
             "op": OP_READ_BLOCK,
             "rpc": rpc,

@@ -23,6 +23,9 @@ PacketHandler = Callable[[Packet], None]
 class Endpoint:
     """A host's attachment to the fabric (one or more NIC ports)."""
 
+    #: Packets reach the protocol handlers as they come off the wire.
+    ingress_delay_ns = 0
+
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name

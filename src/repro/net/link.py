@@ -9,7 +9,10 @@ A :class:`Link` is a full-duplex cable built from two independent
   the line is busy.
 
 Receivers are any object with ``receive(packet, ingress)`` where ``ingress``
-is the channel the packet arrived on.
+is the channel the packet arrived on, and an ``ingress_delay_ns``: the
+receiver's fixed pipeline delay (a switch's forwarding latency, 0 for a
+host).  The channel folds it into delivery, so ``receive`` runs when the
+receiver is ready to act on the packet and a switch forwards at once.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ LINK_STATE_EPOCH = [0]
 
 class Receiver(Protocol):
     name: str
+    ingress_delay_ns: int
 
     def receive(self, packet: Packet, ingress: "Channel") -> None: ...
 
@@ -56,6 +60,9 @@ class Channel:
         self.dst = dst
         self.gbps = gbps
         self.propagation_ns = propagation_ns
+        #: Wire exit to ``dst.receive``: propagation plus the receiver's
+        #: ingress pipeline, one event for both.
+        self._deliver_ns = propagation_ns + dst.ingress_delay_ns
         if priority:
             from .queue import PriorityQueue
 
@@ -66,9 +73,6 @@ class Channel:
         self._transmitting = False
         self.tx_packets = 0
         self.tx_bytes = 0
-        #: tx_bytes at the previous INT stamp, for utilization hints.
-        self.tx_bytes_window_start = 0
-        self.window_start_ns = 0
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -99,7 +103,7 @@ class Channel:
         self.tx_packets += 1
         self.tx_bytes += packet.size_bytes
         if self.up:
-            self.sim.schedule_fire(self.propagation_ns, self._deliver, packet)
+            self.sim.schedule_fire(self._deliver_ns, self._deliver, packet)
         self._start_next()
 
     def _deliver(self, packet: Packet) -> None:
@@ -129,19 +133,6 @@ class Channel:
         if self._up and not up:
             self.queue.clear()
         self.up = up
-
-    def queue_delay_estimate_ns(self) -> int:
-        """Serialization time of everything currently queued."""
-        return bytes_time_ns(self.queue.bytes, self.gbps)
-
-    def take_tx_window(self, now_ns: int) -> tuple[int, int]:
-        """Return (bytes, window_ns) transmitted since the previous call."""
-        tx_bytes = self.tx_bytes
-        delta = tx_bytes - self.tx_bytes_window_start
-        window = now_ns - self.window_start_ns
-        self.tx_bytes_window_start = tx_bytes
-        self.window_start_ns = now_ns
-        return delta, window
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "DOWN"

@@ -11,7 +11,9 @@ A :class:`Packet` is the unit moved by links and switches.  It carries:
 * an optional real ``payload`` (bytes) — integrity experiments flow real
   bytes end to end so CRC arithmetic is genuine, while pure performance
   experiments may leave the payload as ``None`` and carry only a size;
-* in-band network telemetry (INT) records appended by switches (§4.5).
+* in-band network telemetry (INT) records appended by switches (§4.5),
+  only on packets created with ``int_records=[]``: their receivers read
+  the records, and no other packet pays for them.
 """
 
 from __future__ import annotations
@@ -35,15 +37,6 @@ class IntRecord:
     tx_bytes: int
     link_gbps: float
 
-    def utilization_hint(self, window_ns: int) -> float:
-        """Rough link utilization implied by tx_bytes over a window."""
-        if window_ns <= 0:
-            return 0.0
-        capacity_bytes = self.link_gbps * 1e9 / 8 * (window_ns / 1e9)
-        if capacity_bytes <= 0:
-            return 0.0
-        return min(1.0, self.tx_bytes / capacity_bytes)
-
 
 @dataclass(slots=True)
 class Packet:
@@ -65,7 +58,9 @@ class Packet:
     created_ns: int = 0
     ttl: int = 32
     pkt_id: int = field(default_factory=lambda: next(_packet_ids))
-    int_records: List[IntRecord] = field(default_factory=list)
+    #: ``None``: switches stamp nothing.  A list: each switch appends one
+    #: :class:`IntRecord` per hop.
+    int_records: Optional[List[IntRecord]] = None
     #: Free-form simulation bookkeeping (send timestamps, retry counts...).
     meta: Dict[str, Any] = field(default_factory=dict)
 

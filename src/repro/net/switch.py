@@ -40,6 +40,8 @@ class Switch:
         self.name = name
         self.tier = tier
         self.profile = profile
+        #: Read by each ingress channel: delivery waits out the pipeline.
+        self.ingress_delay_ns = profile.switch_forward_ns
         #: neighbor name -> egress channel toward that neighbor.
         self.ports: Dict[str, Channel] = {}
         self._next_hops = next_hops
@@ -111,6 +113,12 @@ class Switch:
     # Datapath
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, ingress: Channel) -> None:
+        """Forward ``packet`` now.
+
+        The ingress channel delivers ``ingress_delay_ns`` after the wire,
+        so this runs once the forwarding pipeline is done: liveness and
+        routing are judged at that instant.
+        """
         self.rx_packets += 1
         if not self.up:
             self.dropped_down += 1
@@ -125,12 +133,6 @@ class Switch:
             self.dropped_ttl += 1
             return
         packet.ttl -= 1
-        self.sim.schedule_fire(self.profile.switch_forward_ns, self._forward, packet)
-
-    def _forward(self, packet: Packet) -> None:
-        if not self.up:
-            self.dropped_down += 1
-            return
         epoch = LINK_STATE_EPOCH[0]
         cached = self._route_cache.get(packet.dst)
         if cached is not None and cached[0] == epoch:
@@ -148,21 +150,15 @@ class Switch:
             self.dropped_no_route += 1
             return
         egress = self.ports[pick(packet.flow, candidates, salt=self.name)]
-        self._stamp_int(packet, egress)
+        if packet.int_records is not None:
+            # HPCC-style telemetry (§4.8), only on packets whose receiver
+            # reads it.
+            packet.int_records.append(
+                IntRecord(self.name, self.sim.now, egress.queue.bytes,
+                          egress.tx_bytes, egress.gbps)
+            )
         self.forwarded += 1
         egress.send(packet)
-
-    def _stamp_int(self, packet: Packet, egress: Channel) -> None:
-        """Append an HPCC-style telemetry record (§4.8 per-packet INT)."""
-        packet.int_records.append(
-            IntRecord(
-                switch=self.name,
-                timestamp_ns=self.sim.now,
-                queue_bytes=egress.queue.bytes,
-                tx_bytes=egress.tx_bytes,
-                link_gbps=egress.gbps,
-            )
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "DOWN"

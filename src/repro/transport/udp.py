@@ -7,10 +7,10 @@ network packet is a self-contained storage data block").
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..net.endpoint import Endpoint
-from ..net.packet import Packet
+from ..net.packet import IntRecord, Packet
 from ..sim.engine import Simulator
 
 PacketHandler = Callable[[Packet], None]
@@ -43,8 +43,12 @@ class DatagramSocket:
         size_bytes: int,
         headers: Optional[Dict[str, Dict[str, Any]]] = None,
         payload: Optional[bytes] = None,
+        int_records: Optional[List[IntRecord]] = None,
     ) -> Packet:
-        """Build and emit one datagram; returns it (for tests/inspection)."""
+        """Build and emit one datagram; returns it (for tests/inspection).
+
+        Pass ``int_records=[]`` when the receiver reads the switches' INT.
+        """
         packet = Packet(
             src=self.endpoint.name,
             dst=dst,
@@ -54,6 +58,7 @@ class DatagramSocket:
             size_bytes=size_bytes,
             headers=headers or {},
             payload=payload,
+            int_records=int_records,
         )
         self.endpoint.send(packet)
         return packet

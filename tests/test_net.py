@@ -8,9 +8,11 @@ from repro.net import (
     Endpoint,
     Link,
     Packet,
+    Switch,
     flow_hash,
     pick,
 )
+from repro.profiles import DEFAULT
 from repro.sim import Simulator
 
 
@@ -86,6 +88,8 @@ class TestDropTailQueue:
 
 
 class _Sink:
+    ingress_delay_ns = 0
+
     def __init__(self, name="sink"):
         self.name = name
         self.received = []
@@ -159,6 +163,87 @@ class TestLink:
         assert link.other(a) is b
         with pytest.raises(ValueError):
             link.channel_from(_Sink("c"))
+
+
+class TestSwitchHop:
+    """host -> switch -> host.  The ingress channel delivers a packet
+    ``switch_forward_ns`` after its propagation delay, and the switch
+    forwards it in that same event: liveness is judged once, then."""
+
+    GBPS, PROP = 10.0, 500
+    WIRE = 1_000  # 1250 B at 10 Gb/s
+    FORWARD = DEFAULT.network.switch_forward_ns
+
+    def _rack(self, sim):
+        tor = Switch(sim, "tor", "tor", DEFAULT.network, lambda sw, pkt: [pkt.dst])
+        hosts, uplinks = {}, {}
+        for name in ("h0", "h1"):
+            host = Endpoint(sim, name)
+            link = Link(sim, host, tor, self.GBPS, self.PROP, 100_000)
+            host.add_uplink(link.channel_from(host))
+            tor.connect(name, link.channel_from(tor))
+            hosts[name], uplinks[name] = host, link.channel_from(host)
+        return tor, hosts, uplinks
+
+    def _send(self, sim, hosts):
+        arrived = []
+        hosts["h1"].on_default(lambda p: arrived.append(sim.now))
+        hosts["h0"].send(make_packet(src="h0", dst="h1", size=1250))
+        return arrived
+
+    def test_same_rack_arrival_time(self):
+        sim = Simulator()
+        _tor, hosts, _uplinks = self._rack(sim)
+        arrived = self._send(sim, hosts)
+        sim.run()
+        assert arrived == [2 * self.WIRE + 2 * self.PROP + self.FORWARD]
+        # Serialization finish and delivery on each of the two channels.
+        assert sim.events_processed == 4
+
+    def test_switch_down_inside_forward_window_drops(self):
+        sim = Simulator()
+        tor, hosts, _uplinks = self._rack(sim)
+        arrived = self._send(sim, hosts)
+        sim.run(until=self.WIRE + self.PROP + self.FORWARD // 2)
+        tor.set_up(False)
+        sim.run()
+        assert arrived == []
+        assert tor.dropped_down == 1
+
+    def test_ingress_channel_down_inside_forward_window_drops(self):
+        sim = Simulator()
+        tor, hosts, uplinks = self._rack(sim)
+        arrived = self._send(sim, hosts)
+        sim.run(until=self.WIRE + self.PROP + self.FORWARD // 2)
+        uplinks["h0"].set_up(False)
+        sim.run()
+        assert arrived == []
+        assert tor.rx_packets == 0
+
+    def test_switch_back_up_before_forward_delivers(self):
+        sim = Simulator()
+        tor, hosts, _uplinks = self._rack(sim)
+        arrived = self._send(sim, hosts)
+        sim.run(until=self.WIRE + self.PROP - 1)  # down as the packet lands
+        tor.set_up(False)
+        sim.run(until=self.WIRE + self.PROP + self.FORWARD // 2)
+        tor.set_up(True)
+        sim.run()
+        assert arrived == [2 * self.WIRE + 2 * self.PROP + self.FORWARD]
+
+    def test_int_stamped_only_on_opt_in(self):
+        sim = Simulator()
+        _tor, hosts, _uplinks = self._rack(sim)
+        got = []
+        hosts["h1"].on_default(got.append)
+        plain = make_packet(src="h0", dst="h1")
+        stamped = Packet("h0", "h1", 1000, 2000, "udp", 1500, int_records=[])
+        hosts["h0"].send(plain)
+        hosts["h0"].send(stamped)
+        sim.run()
+        assert got == [plain, stamped]
+        assert plain.int_records is None
+        assert [r.switch for r in stamped.int_records] == ["tor"]
 
 
 class TestEcmp:

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core import OP_READ_BLOCK, OP_READ_REQUEST, OP_WRITE_ACK, OP_WRITE_BLOCK
+from repro.core.probing import PROBE_ECHO_OP, PROBE_OP
+from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
 from repro.net import (
     ClosTopology,
     Packet,
@@ -29,7 +32,8 @@ def build(sim=None, multi_dc=False):
 def send_and_run(sim, topo, src, dst, sport=1234):
     got = []
     topo.hosts[dst].on_default(got.append)
-    topo.hosts[src].send(Packet(src, dst, sport, 80, "udp", 1500))
+    # Opt in to INT: the routing tests read the switch trail it records.
+    topo.hosts[src].send(Packet(src, dst, sport, 80, "udp", 1500, int_records=[]))
     sim.run(until=sim.now + 5 * MS)
     return got
 
@@ -206,3 +210,56 @@ class TestFailures:
             assert all(r.switch != dead_tor for r in got[-1].int_records)
             topo.hosts["cp/r0/h0"]._handlers.clear()
             topo.hosts["cp/r0/h0"]._default_handler = None
+
+
+def spied_deployment(stack, **spec):
+    """A deployment whose hosts record every packet they receive."""
+    dep = EbsDeployment(DeploymentSpec(stack=stack, seed=3, **spec))
+    vd = VirtualDisk(dep, "vd0", dep.compute_host_names()[0], 64 * 1024 * 1024)
+    seen = []
+    for host in dep.topology.hosts.values():
+        def spy(packet, ingress, receive=host.receive):
+            seen.append(packet)
+            receive(packet, ingress)
+
+        host.receive = spy
+    return dep, vd, seen
+
+
+class TestIntOnDemand:
+    """Switches stamp INT only on the packets whose receiver reads it."""
+
+    def test_stream_packets_carry_no_int(self):
+        dep, vd, seen = spied_deployment("luna")
+        done = []
+        vd.write(0, 16 * 1024, done.append)
+        dep.run()
+        vd.read(0, 16 * 1024, done.append)
+        dep.run()
+        assert len(done) == 2 and all(io.trace.ok for io in done)
+        assert seen and all(p.int_records is None for p in seen)
+
+    def test_solar_readers_get_one_record_per_switch_hop(self):
+        dep, vd, seen = spied_deployment("solar", solar_probing_ns=1 * MS)
+        done = []
+        vd.write(0, 16 * 1024, done.append)
+        dep.run(until_ns=5 * MS)  # the prober keeps the heap busy
+        vd.read(0, 16 * 1024, done.append)
+        dep.run(until_ns=10 * MS)
+        assert len(done) == 2 and all(io.trace.ok for io in done)
+        by_op = {}
+        for p in seen:
+            by_op.setdefault(p.headers["solar"]["op"], []).append(p)
+        hops = dep.topology.path_hops
+        for op in (OP_WRITE_BLOCK, OP_READ_BLOCK, PROBE_OP):
+            assert by_op[op], op
+            for p in by_op[op]:
+                assert len(p.int_records) == hops(p.src, p.dst)
+        # Echoes carry the forward path's records; their own path and
+        # the read request's are not read, so not stamped.
+        for op in (OP_WRITE_ACK, PROBE_ECHO_OP):
+            assert by_op[op], op
+            for p in by_op[op]:
+                assert p.int_records is None
+                assert len(p.headers["solar"]["int_echo"]) == hops(p.dst, p.src)
+        assert all(p.int_records is None for p in by_op[OP_READ_REQUEST])
