@@ -43,7 +43,6 @@ def run_stack(stack: str) -> dict:
         "internal_per_payload": dpu.internal_pcie.bytes_moved / moved,
         "host_dma_bytes": dpu.host_pcie.bytes_moved,
         "infra_cpu_ms": server.infra_cpu.total_busy_ns() / 1e6,
-        "fpga_packets": dpu.fpga.packets_processed if stack == "solar" else 0,
     }
 
 

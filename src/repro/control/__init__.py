@@ -43,7 +43,6 @@ from .upgrade import (
     RollingUpgradeEngine,
     UpgradeResult,
     WaveReport,
-    analytic_share_trend,
     check_rollout_consistency,
     partition_waves,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "RollingUpgradeEngine",
     "UpgradeResult",
     "WaveReport",
-    "analytic_share_trend",
     "check_rollout_consistency",
     "partition_waves",
 ]

@@ -46,11 +46,6 @@ class HealthPolicy:
         if self.miss_threshold < 1:
             raise ValueError(f"miss threshold must be >= 1: {self.miss_threshold}")
 
-    @property
-    def detection_ns(self) -> int:
-        """Worst-case detection latency for a clean fail-stop."""
-        return self.heartbeat_interval_ns * self.miss_threshold
-
 
 @dataclass
 class Incident:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..ebs.evolution import DEFAULT_ROLLOUT, QUARTERS
 from ..lab.spec import UpgradeSpec
 from .cluster import ControlledCluster, LogicalServer
 
@@ -209,19 +208,12 @@ class RollingUpgradeEngine:
 # ----------------------------------------------------------------------
 # Validation against the analytic rollout
 # ----------------------------------------------------------------------
-def analytic_share_trend(
-    stack: str, rollout: Dict[str, Dict[str, float]] = DEFAULT_ROLLOUT
-) -> List[float]:
-    """One stack's fleet share, quarter by quarter, from the analytic table."""
-    return [rollout[q].get(stack, 0.0) for q in QUARTERS]
-
-
 def check_rollout_consistency(
     result: UpgradeResult,
     latency_tolerance: float = 0.02,
 ) -> List[str]:
     """Compare the simulated rollout's shape with the analytic
-    :data:`DEFAULT_ROLLOUT` trend.  Returns human-readable violations
+    :data:`~repro.ebs.evolution.DEFAULT_ROLLOUT` trend.  Returns human-readable violations
     (empty list = consistent).
 
     The analytic table's invariants — the old stack's share only shrinks,

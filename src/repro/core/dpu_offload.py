@@ -108,8 +108,7 @@ class SolarOffload:
             "Block", BLOCK_CACHE_CAPACITY
         )
         self.qos_table: MatchActionTable[str, bool] = MatchActionTable("QoS", QOS_CAPACITY)
-        self._specs = table3_specs(addr_capacity=addr_capacity)
-        for spec in self._specs.values():
+        for spec in table3_specs(addr_capacity=addr_capacity).values():
             dpu.fpga.register_module(spec)
         self.egress = self._build_egress()
         self.ingress = self._build_ingress()
@@ -140,17 +139,15 @@ class SolarOffload:
             [
                 MatchActionStage(
                     "QoS", self.qos_table, lambda c: c.require("vd_id"), qos_hit,
-                    resources=self._specs["QoS"],
                 ),
                 MatchActionStage(
                     "Block",
                     self.block_table,
                     lambda c: (c.require("vd_id"), c.require("segment_index")),
                     block_hit,
-                    resources=self._specs["Block"],
                 ),
-                Stage("CRC", crc_stage, resources=self._specs["CRC"]),
-                Stage("SEC", sec_stage, resources=self._specs["SEC"]),
+                Stage("CRC", crc_stage),
+                Stage("SEC", sec_stage),
                 Stage("PktGen", pktgen),
             ],
         )
@@ -176,7 +173,6 @@ class SolarOffload:
                     self.addr_table,
                     lambda c: (c.require("rpc_id"), c.require("pkt_id")),
                     addr_hit,
-                    resources=self._specs["Addr"],
                 ),
                 Stage("CRC", crc_check),
                 Stage("SEC", sec_stage),

@@ -214,6 +214,3 @@ class MultipathManager:
             if path.path_id == path_id:
                 return path
         raise KeyError(f"unknown path id {path_id}")
-
-    def healthy_count(self) -> int:
-        return sum(1 for p in self.paths if p.healthy(self.sim.now))

@@ -10,9 +10,9 @@ descriptor generation).  The SOLAR SA datapath programs built in
 
 Pipelines are *logic only*: they mutate a :class:`PipelineContext` and
 take zero simulated time.  Timing (the fixed line-rate pipeline latency)
-and faults are charged by the :class:`repro.host.fpga.FpgaDevice` that
-hosts the pipeline; resources are declared per stage and summed into the
-device budget (Table 3).
+is charged by the :class:`repro.host.fpga.FpgaDevice` that hosts the
+pipeline, whose resource budget :mod:`repro.core.dpu_offload` fills with
+Table 3's per-module rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..host.fpga import FpgaModuleSpec
 from .tables import MatchActionTable
 
 
@@ -49,17 +48,11 @@ class PipelineContext:
 
 
 class Stage:
-    """One pipeline stage: a callable plus a resource declaration."""
+    """One pipeline stage: a named callable."""
 
-    def __init__(
-        self,
-        name: str,
-        action: Callable[[PipelineContext], None],
-        resources: Optional[FpgaModuleSpec] = None,
-    ):
+    def __init__(self, name: str, action: Callable[[PipelineContext], None]):
         self.name = name
         self.action = action
-        self.resources = resources
 
     def process(self, ctx: PipelineContext) -> None:
         ctx.executed.append(self.name)
@@ -76,13 +69,12 @@ class MatchActionStage(Stage):
         key_fn: Callable[[PipelineContext], Any],
         on_hit: Callable[[PipelineContext, Any], None],
         on_miss: Optional[Callable[[PipelineContext], None]] = None,
-        resources: Optional[FpgaModuleSpec] = None,
     ):
         self.table = table
         self.key_fn = key_fn
         self.on_hit = on_hit
         self.on_miss = on_miss
-        super().__init__(name, self._run, resources)
+        super().__init__(name, self._run)
 
     def _run(self, ctx: PipelineContext) -> None:
         value = self.table.lookup(self.key_fn(ctx))
@@ -117,9 +109,6 @@ class Pipeline:
         if ctx.dropped is not None:
             self.packets_dropped += 1
         return ctx
-
-    def resource_specs(self) -> List[FpgaModuleSpec]:
-        return [s.resources for s in self.stages if s.resources is not None]
 
     def stage(self, name: str) -> Stage:
         for stage in self.stages:

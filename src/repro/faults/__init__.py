@@ -5,20 +5,17 @@ from .fpga_errors import (
     BitFlipInjector,
     CorruptionEvent,
     CorruptionEventGenerator,
-    QuietInjector,
     ROOT_CAUSE_WEIGHTS,
     flip_bit,
 )
-from .injection import IncidentOutcome, IoHangMonitor, TimedFault
+from .injection import IoHangMonitor, TimedFault
 
 __all__ = [
     "BitFlipInjector",
-    "QuietInjector",
     "flip_bit",
     "CorruptionEvent",
     "CorruptionEventGenerator",
     "ROOT_CAUSE_WEIGHTS",
     "IoHangMonitor",
     "TimedFault",
-    "IncidentOutcome",
 ]

@@ -77,16 +77,6 @@ class BitFlipInjector:
         return self.payload_flips + self.crc_flips
 
 
-class QuietInjector:
-    """A no-op injector (useful as an experiment control)."""
-
-    def corrupt_payload(self, payload: bytes, stage: str) -> bytes:
-        return payload
-
-    def corrupt_crc(self, crc: int, stage: str) -> int:
-        return crc
-
-
 @dataclass(frozen=True)
 class CorruptionEvent:
     """One corruption incident with its root cause (Figure 11 unit)."""

@@ -9,7 +9,7 @@ I/O eventually completes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..agent.base import IoRequest
@@ -80,17 +80,3 @@ class TimedFault:
             if self.end_ns <= self.start_ns:
                 raise ValueError("fault must end after it starts")
             sim.schedule_at(self.end_ns, self.scenario.revert, topology)
-
-
-@dataclass
-class IncidentOutcome:
-    """Result record of one failure-scenario experiment run."""
-
-    scenario_name: str
-    stack: str
-    ios_issued: int
-    ios_hung: int
-    hang_rate: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.hang_rate = self.ios_hung / self.ios_issued if self.ios_issued else 0.0

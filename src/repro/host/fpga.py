@@ -1,6 +1,6 @@
-"""FPGA device model: resource budget, pipeline timing, and fault hooks.
+"""FPGA device model: resource budget and pipeline timing.
 
-Three aspects of the paper's FPGA reality are modelled:
+Two aspects of the paper's FPGA reality are modelled here:
 
 * **resources** — the FPGA is shared with other hypervisor functions, so
   SOLAR's modules must fit a small LUT/BRAM slice (Table 3 totals 8.5% LUT
@@ -8,22 +8,19 @@ Three aspects of the paper's FPGA reality are modelled:
   over-subscription is a hard error at construction time.
 * **timing** — the pipeline is line-rate with a fixed per-packet latency
   (§4.5: packet processing "at line-rate without buffering").
-* **faults** — FPGAs are "error-prone due to random hardware failures
-  (e.g., bit flipping)" (§4.4, Figure 11: 37% of corruption events).  A
-  registered fault hook may mutate payload bytes or table results; the CRC
-  aggregation defence (``repro.core.crc_agg``) is validated against it.
+
+FPGAs are also "error-prone due to random hardware failures (e.g., bit
+flipping)" (§4.4, Figure 11: 37% of corruption events); those faults are
+injected by :mod:`repro.faults.fpga_errors`, and the CRC aggregation
+defence (``repro.core.crc_agg``) is validated against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from ..sim.engine import Simulator
-
-#: A fault hook takes (payload, context-name) and returns a possibly
-#: corrupted payload.  ``None`` payloads pass through untouched.
-FaultHook = Callable[[bytes, str], bytes]
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class FpgaResourceError(RuntimeError):
 
 
 class FpgaDevice:
-    """A programmable accelerator with a resource budget and fault hooks."""
+    """A programmable accelerator with a resource budget."""
 
     def __init__(
         self,
@@ -60,8 +57,6 @@ class FpgaDevice:
         self.lut_budget_pct = lut_budget_pct
         self.bram_budget_pct = bram_budget_pct
         self.modules: Dict[str, FpgaModuleSpec] = {}
-        self.fault_hook: Optional[FaultHook] = None
-        self.packets_processed = 0
 
     # ------------------------------------------------------------------
     # Resources
@@ -102,16 +97,6 @@ class FpgaDevice:
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
-    def set_fault_hook(self, hook: Optional[FaultHook]) -> None:
-        self.fault_hook = hook
-
-    def pass_through(self, payload: Optional[bytes], context: str) -> Optional[bytes]:
-        """Run a payload through the device, applying any fault hook."""
-        self.packets_processed += 1
-        if payload is None or self.fault_hook is None:
-            return payload
-        return self.fault_hook(payload, context)
-
     def process(
         self, callback: Callable[..., Any], *args: Any, extra_ns: int = 0
     ) -> None:

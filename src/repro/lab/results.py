@@ -133,7 +133,3 @@ class SweepResult:
 
     def digests(self) -> List[str]:
         return [digest for _, _, digest in self.points]
-
-    @property
-    def total_hangs(self) -> int:
-        return sum(a["hangs"] for a in self.artifacts)

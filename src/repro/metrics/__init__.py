@@ -1,30 +1,13 @@
-"""Measurement utilities: latency statistics, distributed I/O traces and
-time-series bucketing."""
+"""Measurement utilities: latency statistics and distributed I/O traces."""
 
-from .series import TimeSeries
-from .stats import Counter, LatencyStats, mean_ci, percentile
+from .stats import LatencyStats, mean_ci, percentile
 from .trace import COMPONENTS, IoTrace, TraceCollector
 
 __all__ = [
     "LatencyStats",
-    "Counter",
     "percentile",
     "mean_ci",
     "IoTrace",
     "TraceCollector",
     "COMPONENTS",
-    "TimeSeries",
 ]
-
-from .report import collector_chart, render_bar, render_breakdown_chart  # noqa: E402
-
-__all__ += ["render_bar", "render_breakdown_chart", "collector_chart"]
-
-from .export import (  # noqa: E402
-    breakdown_to_json,
-    latency_to_json,
-    series_to_csv,
-    traces_to_csv,
-)
-
-__all__ += ["traces_to_csv", "latency_to_json", "series_to_csv", "breakdown_to_json"]

@@ -198,21 +198,3 @@ def mean_ci(values: Sequence[float]) -> tuple:
         (_T95[k] for k in sorted(_T95) if k >= df), 1.960
     )
     return mean, t * math.sqrt(var / n)
-
-
-@dataclass
-class Counter:
-    """A named monotonic counter with helpers for rate reporting."""
-
-    name: str
-    value: int = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def per_second(self, duration_ns: int) -> float:
-        if duration_ns <= 0:
-            return 0.0
-        return self.value / (duration_ns / 1e9)

@@ -39,8 +39,3 @@ __all__ = [
     "random_drop",
     "table2_scenarios",
 ]
-
-from .capture import CaptureRecord, PacketCapture  # noqa: E402
-from .queue import PriorityQueue  # noqa: E402
-
-__all__ += ["PacketCapture", "CaptureRecord", "PriorityQueue"]

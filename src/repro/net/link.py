@@ -52,7 +52,6 @@ class Channel:
         gbps: float,
         propagation_ns: int,
         queue_capacity_bytes: int,
-        priority: bool = False,
     ):
         self.sim = sim
         self.name = name
@@ -63,12 +62,7 @@ class Channel:
         #: Wire exit to ``dst.receive``: propagation plus the receiver's
         #: ingress pipeline, one event for both.
         self._deliver_ns = propagation_ns + dst.ingress_delay_ns
-        if priority:
-            from .queue import PriorityQueue
-
-            self.queue = PriorityQueue(queue_capacity_bytes, name=f"{name}.q")
-        else:
-            self.queue = DropTailQueue(queue_capacity_bytes, name=f"{name}.q")
+        self.queue = DropTailQueue(queue_capacity_bytes, name=f"{name}.q")
         self._up = True
         self._transmitting = False
         self.tx_packets = 0
@@ -150,17 +144,16 @@ class Link:
         gbps: float,
         propagation_ns: int,
         queue_capacity_bytes: int,
-        priority: bool = False,
     ):
         self.a = a
         self.b = b
         self.ab = Channel(
             sim, f"{a.name}->{b.name}", a, b, gbps, propagation_ns,
-            queue_capacity_bytes, priority,
+            queue_capacity_bytes,
         )
         self.ba = Channel(
             sim, f"{b.name}->{a.name}", b, a, gbps, propagation_ns,
-            queue_capacity_bytes, priority,
+            queue_capacity_bytes,
         )
 
     def channel_from(self, node: "Receiver") -> Channel:

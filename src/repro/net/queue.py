@@ -1,13 +1,8 @@
-"""Egress queues: drop-tail FIFO, plus the two-class priority variant.
+"""Egress queue: a byte-budget drop-tail FIFO.
 
 §3.1: AliCloud's FN deliberately uses shallow-buffer switches and accepts
-loss (the stacks must be loss-tolerant), so the base model is a
+loss (the stacks must be loss-tolerant), so every egress port is a
 byte-budget drop-tail FIFO with occupancy statistics for INT.
-
-§4.8 adds: "we use a per-packet ACK to perform a fine-grained congestion
-control algorithm ... with a **dedicated queue in the switch for SOLAR**"
-— modelled by :class:`PriorityQueue`: two drop-tail classes with strict
-priority, SOLAR traffic in the high class.
 """
 
 from __future__ import annotations
@@ -16,9 +11,6 @@ from collections import deque
 from typing import Deque, Optional
 
 from .packet import Packet
-
-#: Protocols served from the dedicated (high-priority) class.
-PRIORITY_PROTOS = frozenset({"solar"})
 
 
 class DropTailQueue:
@@ -71,66 +63,3 @@ class DropTailQueue:
             f"<DropTailQueue {self.name!r} {len(self._items)}pkts "
             f"{self.bytes}/{self.capacity_bytes}B drops={self.dropped}>"
         )
-
-
-class PriorityQueue:
-    """Two strict-priority drop-tail classes sharing one port (§4.8).
-
-    SOLAR's storage datagrams ride the dedicated high class; everything
-    else (including SOLAR's bulk competitors) shares the low class.  Each
-    class has half the port's byte budget, so a misbehaving class cannot
-    starve the other of *buffer* — only of service order.
-
-    Drop-in compatible with :class:`DropTailQueue` (same offer/poll/clear
-    surface, aggregate statistics).
-    """
-
-    def __init__(self, capacity_bytes: int, name: str = "",
-                 priority_protos: frozenset = PRIORITY_PROTOS):
-        if capacity_bytes <= 1:
-            raise ValueError(f"queue capacity too small: {capacity_bytes}")
-        self.name = name
-        self.priority_protos = priority_protos
-        self.capacity_bytes = capacity_bytes
-        self.high = DropTailQueue(capacity_bytes // 2, name=f"{name}.hi")
-        self.low = DropTailQueue(capacity_bytes - capacity_bytes // 2,
-                                 name=f"{name}.lo")
-
-    def _class_of(self, packet: Packet) -> DropTailQueue:
-        return self.high if packet.proto in self.priority_protos else self.low
-
-    def offer(self, packet: Packet) -> bool:
-        return self._class_of(packet).offer(packet)
-
-    def poll(self) -> Optional[Packet]:
-        packet = self.high.poll()
-        if packet is not None:
-            return packet
-        return self.low.poll()
-
-    def clear(self) -> int:
-        return self.high.clear() + self.low.clear()
-
-    def __len__(self) -> int:
-        return len(self.high) + len(self.low)
-
-    # Aggregate statistics, for INT and telemetry parity with DropTailQueue.
-    @property
-    def bytes(self) -> int:
-        return self.high.bytes + self.low.bytes
-
-    @property
-    def dropped(self) -> int:
-        return self.high.dropped + self.low.dropped
-
-    @property
-    def enqueued(self) -> int:
-        return self.high.enqueued + self.low.enqueued
-
-    @property
-    def peak_bytes(self) -> int:
-        return self.high.peak_bytes + self.low.peak_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PriorityQueue {self.name!r} hi={len(self.high)} "
-                f"lo={len(self.low)} drops={self.dropped}>")

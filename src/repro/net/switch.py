@@ -68,16 +68,6 @@ class Switch:
         self.ports[neighbor_name] = egress
         LINK_STATE_EPOCH[0] += 1
 
-    def set_route_fn(self, fn: Callable[["Switch", Packet], List[str]]) -> None:
-        """Install the routing function.
-
-        ``fn`` must depend only on the switch, ``packet.dst``, and
-        current link state — its results are cached per destination and
-        invalidated on link-state changes (see ``_route_cache``).
-        """
-        self._next_hops = fn
-        self._route_cache.clear()
-
     # ------------------------------------------------------------------
     # Failure controls
     # ------------------------------------------------------------------

@@ -89,7 +89,6 @@ class ClosTopology:
             gbps,
             self.profile.link_propagation_ns,
             self.profile.queue_capacity_bytes,
-            priority=self.profile.priority_queues,
         )
         self.links.append(link)
         for node, channel in ((a, link.ab), (b, link.ba)):

@@ -57,11 +57,6 @@ class NetworkProfile:
     standard_mtu_bytes: int = 1500
     #: Per-packet wire overhead: Ethernet + IP + UDP/TCP + EBS headers.
     header_overhead_bytes: int = 98
-    #: §4.8: "a dedicated queue in the switch for SOLAR" — when True,
-    #: every egress port runs two strict-priority drop-tail classes with
-    #: SOLAR datagrams in the high class.  Off by default so baseline
-    #: comparisons share identical queueing.
-    priority_queues: bool = False
 
 
 @dataclass(frozen=True)
@@ -210,13 +205,6 @@ class SsdProfile:
     #: Internal NAND-channel parallelism: how many operations the device
     #: services concurrently (ESSD-class NVMe reaches ~1M IOPS, §3).
     channels: int = 16
-    #: Commit-aggregation window (§2.3 fn.1: "turning random writes into
-    #: sequential writes with log-structured merged-tree (LSM tree) and
-    #: commit aggregation").  Writes arriving within one window are
-    #: batched into a single sequential device commit.  0 disables
-    #: batching (each write commits individually — the default, so
-    #: latency calibration is unaffected unless an experiment opts in).
-    commit_aggregation_ns: int = 0
     replicas: int = 3  # §2.2: three copies across chunk servers
 
 

@@ -22,7 +22,7 @@ from .catalog import (
     get_scenario,
     trace_scenario,
 )
-from .envelope import ENVELOPE_KINDS, load_envelope, save_envelope
+from .envelope import ENVELOPE_KINDS, load_envelope
 from .importers import IMPORT_FORMATS, ImportOptions, import_trace
 from .record import FleetTraceRecorder
 from .run import REPORT_SCHEMA_VERSION, record_scenario, run_scenario
@@ -31,8 +31,8 @@ from .trace import (
     TRACE_SCHEMA_VERSION,
     FleetTrace,
     StreamMeta,
+    TraceFormatError,
     from_records,
-    iter_trace_records,
 )
 
 __all__ = [
@@ -49,14 +49,13 @@ __all__ = [
     "Scenario",
     "SloGate",
     "StreamMeta",
+    "TraceFormatError",
     "ENVELOPE_KINDS",
     "catalog_names",
     "from_records",
     "load_envelope",
-    "save_envelope",
     "get_scenario",
     "import_trace",
-    "iter_trace_records",
     "record_scenario",
     "run_scenario",
     "trace_scenario",

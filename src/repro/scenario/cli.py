@@ -27,12 +27,11 @@ from pathlib import Path
 
 from ..ebs import STACKS
 from ..lab.spec import canonical_json
-from ..workloads.replay import TraceFormatError
 from .catalog import Scenario, SloGate, catalog_names, get_scenario, trace_scenario
 from .envelope import load_envelope
 from .importers import IMPORT_FORMATS, ImportOptions, import_trace
 from .run import record_scenario, run_scenario
-from .trace import FleetTrace
+from .trace import FleetTrace, TraceFormatError
 
 #: Exit status for "an SLO gate failed / a chaos invariant reproduced"
 #: (same contract as ``python -m repro chaos``).

@@ -63,12 +63,3 @@ def load_envelope(path: Union[str, Path]):
 
         return ChaosScenario.from_dict(payload)
     return Scenario.from_dict(payload)
-
-
-def save_envelope(scenario, path: Union[str, Path]) -> Path:
-    """Write either kind as pretty-printed envelope JSON."""
-    path = Path(path)
-    path.write_text(
-        json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    return path

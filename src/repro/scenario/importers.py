@@ -17,7 +17,7 @@ first-seen order, wrap offsets into the target VD, align sizes to 4KB,
 and (optionally) downsample deterministically so a multi-GB public
 trace shrinks to a CI-sized subset that is the *same* subset on every
 machine.  Malformed rows raise
-:class:`~repro.workloads.replay.TraceFormatError` with the line number.
+:class:`~repro.scenario.trace.TraceFormatError` with the line number.
 """
 
 from __future__ import annotations
@@ -27,8 +27,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..workloads.replay import IoRecord, TraceFormatError
-from .trace import TRACE_ALIGN, FleetTrace, StreamMeta, _open_text
+from ..workloads.replay import IoRecord
+from .trace import (
+    TRACE_ALIGN,
+    FleetTrace,
+    StreamMeta,
+    TraceFormatError,
+    _open_text,
+)
 
 #: Cap on a single imported I/O (public traces carry the odd huge blob;
 #: a 4MB ceiling keeps replay cost bounded without changing the mix).

@@ -32,10 +32,10 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..lab.spec import canonical_json
-from ..workloads.replay import IoRecord, TraceFormatError
+from ..workloads.replay import IoRecord
 
 #: Bump when the on-disk trace layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
@@ -45,6 +45,22 @@ TRACE_ALIGN = 4096
 
 #: Compact record keys: stream, time, kind, offset, siZe.
 _RECORD_KEYS = ("s", "t", "k", "o", "z")
+
+
+class TraceFormatError(ValueError):
+    """A malformed trace file: carries the offending line number.
+
+    One typed error for every parse-time failure (bad JSON, missing
+    keys, invalid field values), so callers catch one exception class
+    instead of the union of ``json.JSONDecodeError``/``TypeError``/
+    ``ValueError`` the underlying decode can raise.
+    """
+
+    def __init__(self, message: str, line_no: Optional[int] = None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -256,7 +272,7 @@ class FleetTrace:
         cls, source: Union[str, Path, io.TextIOBase], verify: bool = True
     ) -> "FleetTrace":
         """Parse a trace file; malformed lines raise
-        :class:`~repro.workloads.replay.TraceFormatError` with the
+        :class:`TraceFormatError` with the
         offending line number.  ``verify=False`` skips the digest check
         (for hand-edited work-in-progress files)."""
         if isinstance(source, (str, Path)):
@@ -356,37 +372,6 @@ def _parse_json_object(line: str, line_no: int) -> Dict[str, Any]:
     return payload
 
 
-def iter_trace_records(
-    source: Union[str, Path],
-) -> Iterator[Tuple[str, IoRecord]]:
-    """Stream (stream_id, record) pairs without materializing the whole
-    trace — the scale-friendly read path for very large files.  No digest
-    verification (that requires the full content)."""
-    with _open_text(source, "rt") as fp:
-        first = True
-        for line_no, line in enumerate(fp, 1):
-            line = line.strip()
-            if not line:
-                continue
-            payload = _parse_json_object(line, line_no)
-            if first:
-                first = False
-                if payload.get("fleet_trace") != TRACE_SCHEMA_VERSION:
-                    raise TraceFormatError(
-                        f"unsupported fleet_trace version "
-                        f"{payload.get('fleet_trace')!r}", line_no)
-                continue
-            try:
-                yield payload["s"], IoRecord(
-                    at_ns=payload["t"], kind=payload["k"],
-                    offset_bytes=payload["o"], size_bytes=payload["z"],
-                )
-            except KeyError as exc:
-                raise TraceFormatError(f"record missing key {exc}", line_no) from exc
-            except (TypeError, ValueError) as exc:
-                raise TraceFormatError(f"bad record: {exc}", line_no) from exc
-
-
 def from_records(
     name: str,
     records: Iterable[IoRecord],
@@ -394,7 +379,7 @@ def from_records(
     vd_size_mb: int = 256,
     description: str = "",
 ) -> FleetTrace:
-    """Wrap one flat record list (e.g. the seed recorder's) as a trace."""
+    """Wrap one flat record list as a one-stream trace."""
     return FleetTrace(
         name=name,
         streams={stream: list(records)},

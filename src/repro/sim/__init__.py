@@ -17,8 +17,6 @@ from .events import (
     SECOND,
     US,
     format_ns,
-    ns_from_seconds,
-    seconds_from_ns,
 )
 from .rng import RngRegistry, derive_seed
 
@@ -33,6 +31,4 @@ __all__ = [
     "MS",
     "SECOND",
     "format_ns",
-    "ns_from_seconds",
-    "seconds_from_ns",
 ]

@@ -18,16 +18,6 @@ MS = 1_000_000
 SECOND = 1_000_000_000
 
 
-def ns_from_seconds(seconds: float) -> int:
-    """Convert a float second count to integer nanoseconds (rounded)."""
-    return int(round(seconds * SECOND))
-
-
-def seconds_from_ns(ns: int) -> float:
-    """Convert integer nanoseconds to float seconds."""
-    return ns / SECOND
-
-
 class Event:
     """A scheduled callback.
 

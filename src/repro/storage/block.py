@@ -54,9 +54,6 @@ class DataBlock:
                 self._crc = crc32(key)
         return self._crc
 
-    def invalidate_crc(self) -> None:
-        self._crc = None
-
     def with_data(self, data: bytes) -> "DataBlock":
         """Return a copy of this block carrying the given payload."""
         return DataBlock(self.vd_id, self.lba, len(data), data)

@@ -94,12 +94,6 @@ class ChunkServer:
         self.reads_served = 0
         self.rebuild_reads_served = 0
         self.rebuild_writes_served = 0
-        #: Commit-aggregation state (§2.3 fn.1): writes arriving within
-        #: one window batch into a single sequential device commit.
-        self._commit_batch: list = []
-        self._commit_timer_armed = False
-        self.commits = 0
-        self.batched_writes = 0
 
     @property
     def name(self) -> str:
@@ -114,12 +108,9 @@ class ChunkServer:
 
     def _after_cpu(self, request: ChunkRequest, reply, start_ns: int) -> None:
         if request.kind == "write":
-            if self.profile.commit_aggregation_ns > 0:
-                self._enqueue_commit(request, reply, start_ns)
-            else:
-                self.ssd.submit_write(
-                    request.size_bytes, self._finish_write, request, reply, start_ns
-                )
+            self.ssd.submit_write(
+                request.size_bytes, self._finish_write, request, reply, start_ns
+            )
         elif request.kind == "read":
             self.ssd.submit_read(
                 request.size_bytes, self._finish_read, request, reply, start_ns
@@ -128,39 +119,12 @@ class ChunkServer:
             self.ssd.submit_read(
                 request.size_bytes, self._finish_rebuild_read, request, reply, start_ns
             )
-        else:  # rebuild_write: one bulk sequential commit, no aggregation
+        else:  # rebuild_write: one bulk sequential commit
             self.ssd.submit_write(
                 request.size_bytes, self._finish_rebuild_write, request, reply, start_ns
             )
 
-    # ------------------------------------------------------------------
-    # Commit aggregation (§2.3 fn.1: LSM + commit aggregation turn random
-    # writes sequential — many small writes share one device commit).
-    # ------------------------------------------------------------------
-    def _enqueue_commit(self, request: ChunkRequest, reply, start_ns: int) -> None:
-        self._commit_batch.append((request, reply, start_ns))
-        if not self._commit_timer_armed:
-            self._commit_timer_armed = True
-            self.sim.schedule(self.profile.commit_aggregation_ns, self._flush_commits)
-
-    def _flush_commits(self) -> None:
-        self._commit_timer_armed = False
-        batch, self._commit_batch = self._commit_batch, []
-        if not batch:
-            return
-        self.commits += 1
-        self.batched_writes += len(batch)
-        total_bytes = sum(req.size_bytes for req, _reply, _t in batch)
-        # One sequential commit covers the whole batch; every member
-        # completes when the commit lands.
-        self.ssd.submit_write(total_bytes, self._finish_batch, batch)
-
-    def _finish_batch(self, batch: list) -> None:
-        for request, reply, start_ns in batch:
-            self._finish_write_stored(request, reply, start_ns)
-
-    def _finish_write_stored(self, request: ChunkRequest, reply, start_ns: int) -> None:
-        """Common completion used by both direct and batched writes."""
+    def _finish_write(self, request: ChunkRequest, reply, start_ns: int) -> None:
         key = (request.segment_id, request.lba)
         payload = request.data if self.store_payloads else None
         crc = request.crc if request.crc is not None else _synthetic_crc(request)
@@ -173,9 +137,6 @@ class ChunkServer:
             ),
             64,  # ack frame
         )
-
-    def _finish_write(self, request: ChunkRequest, reply, start_ns: int) -> None:
-        self._finish_write_stored(request, reply, start_ns)
 
     def _finish_read(self, request: ChunkRequest, reply, start_ns: int) -> None:
         key = (request.segment_id, request.lba)

@@ -36,9 +36,6 @@ class Segment:
     def end_lba(self) -> int:
         return self.start_lba + self.num_blocks
 
-    def contains(self, lba: int) -> bool:
-        return self.start_lba <= lba < self.end_lba
-
 
 @dataclass(frozen=True)
 class RebuildItem:

@@ -34,21 +34,10 @@ __all__ = [
     "weekly_modulation",
 ]
 
-from .replay import (  # noqa: E402
-    IoRecord,
-    TraceFormatError,
-    TraceRecorder,
-    load_trace,
-    replay,
-)
+from .replay import IoRecord, replay  # noqa: E402
 
-__all__ += ["IoRecord", "TraceFormatError", "TraceRecorder", "load_trace", "replay"]
+__all__ += ["IoRecord", "replay"]
 
-from .patterns import (  # noqa: E402
-    SequentialPattern,
-    StridedPattern,
-    UniformPattern,
-    ZipfianPattern,
-)
+from .patterns import SequentialPattern, ZipfianPattern  # noqa: E402
 
-__all__ += ["SequentialPattern", "UniformPattern", "ZipfianPattern", "StridedPattern"]
+__all__ += ["SequentialPattern", "ZipfianPattern"]

@@ -1,15 +1,14 @@
 """Access-pattern generators: where on the disk the next I/O lands.
 
 The fio driver defaults to uniform-random aligned offsets; real guests
-are rarely uniform.  These samplers provide the usual suspects:
+are rarely uniform.  These samplers provide the two other patterns a
+:class:`~repro.workloads.fio.FioSpec` can ask for:
 
 * sequential — log appends, scans, backup streams;
-* uniform random — the fio default;
 * zipfian — skewed access (hot pages), the pattern that makes chunk-side
-  caches and LSM write-staging matter;
-* strided — columnar scans and RAID-ish layouts.
+  caches and LSM write-staging matter.
 
-All samplers return block-aligned byte offsets such that
+Both samplers return block-aligned byte offsets such that
 ``offset + io_size <= disk_size``.
 """
 
@@ -18,13 +17,8 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from typing import Protocol
 
 from ..profiles import BLOCK_SIZE
-
-
-class OffsetPattern(Protocol):
-    def next_offset(self, io_size: int) -> int: ...
 
 
 def _usable_blocks(disk_size: int, io_size: int) -> int:
@@ -46,22 +40,12 @@ class SequentialPattern:
         self._next = start_offset
 
     def next_offset(self, io_size: int) -> int:
+        _usable_blocks(self.disk_size, io_size)
         if self._next + io_size > self.disk_size:
             self._next = 0
         offset = self._next
         self._next += ((io_size + BLOCK_SIZE - 1) // BLOCK_SIZE) * BLOCK_SIZE
         return offset
-
-
-class UniformPattern:
-    """Uniform random aligned offsets."""
-
-    def __init__(self, disk_size: int, rng: random.Random):
-        self.disk_size = disk_size
-        self.rng = rng
-
-    def next_offset(self, io_size: int) -> int:
-        return self.rng.randrange(_usable_blocks(self.disk_size, io_size)) * BLOCK_SIZE
 
 
 class ZipfianPattern:
@@ -98,25 +82,3 @@ class ZipfianPattern:
         # hashing by a large odd constant).
         block = (rank * 2654435761) % blocks
         return block * BLOCK_SIZE
-
-
-class StridedPattern:
-    """Fixed-stride walk (e.g. every Nth block), wrapping at the end."""
-
-    def __init__(self, disk_size: int, stride_blocks: int, start_offset: int = 0):
-        if stride_blocks < 1:
-            raise ValueError("stride must be at least one block")
-        self.disk_size = disk_size
-        self.stride = stride_blocks * BLOCK_SIZE
-        self._next = start_offset
-
-    def next_offset(self, io_size: int) -> int:
-        if self._next + io_size > self.disk_size:
-            self._next = (self._next + self.stride) % self.stride or 0
-            if self._next + io_size > self.disk_size:
-                self._next = 0
-        offset = self._next
-        self._next += self.stride
-        if self._next + io_size > self.disk_size:
-            self._next = (offset + BLOCK_SIZE) % self.stride
-        return offset

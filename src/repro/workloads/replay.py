@@ -1,43 +1,25 @@
-"""Trace-driven workloads: record I/O streams, replay them anywhere.
+"""Trace-driven workloads: replay recorded I/O streams anywhere.
 
 Production analyses (like the paper's Figures 3-6) run the *same*
-workload across stack generations.  A :class:`TraceRecorder` captures an
-I/O stream as portable records; :func:`replay` re-issues them, preserving
-inter-arrival times, against any deployment.  Traces serialize to JSON
-lines so they can be stored alongside experiment results.
+workload across stack generations.  An :class:`IoRecord` is one recorded
+I/O's timing and shape; :func:`replay` re-issues a stream of them,
+preserving inter-arrival times, against any deployment.
 
-This module is the seed of the scenario plane: `repro.scenario.trace`
-builds the multi-stream, digest-keyed :class:`FleetTrace` container on
-top of these single-stream records, and `repro.scenario.record` captures
-whole deployments through the telemetry subscribe hooks.
+The on-disk format lives in the scenario plane: `repro.scenario.trace`
+stores streams of these records in the digest-keyed :class:`FleetTrace`
+container, and `repro.scenario.record` captures whole deployments into
+one through the telemetry subscribe hooks.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, List, Optional, TextIO
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from ..agent.base import IoRequest
 from ..ebs.virtual_disk import VirtualDisk
 from ..metrics.stats import LatencyStats
 from ..sim.engine import Simulator
-
-
-class TraceFormatError(ValueError):
-    """A malformed trace file: carries the offending line number.
-
-    One typed error for every parse-time failure (bad JSON, missing
-    keys, invalid field values), so callers catch one exception class
-    instead of the union of ``json.JSONDecodeError``/``TypeError``/
-    ``ValueError`` the underlying decode can raise.
-    """
-
-    def __init__(self, message: str, line_no: Optional[int] = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -54,69 +36,6 @@ class IoRecord:
             raise ValueError(f"bad kind {self.kind!r}")
         if self.at_ns < 0 or self.size_bytes <= 0 or self.offset_bytes < 0:
             raise ValueError(f"invalid record: {self}")
-
-
-class TraceRecorder:
-    """Collects IoRecords; wrap a generator's issue path with record().
-
-    ``epoch_ns`` fixes the recording's time zero explicitly.  The default
-    (``None``) keeps the historical behaviour — latch on the first
-    ``record()`` call — which is fine for a single recorder but makes two
-    recorders on the same simulator disagree about time zero when their
-    first I/Os differ.  Recorders that must compose (the scenario plane's
-    multi-stream capture) pass the shared epoch explicitly.
-    """
-
-    def __init__(self, sim: Simulator, epoch_ns: Optional[int] = None):
-        self.sim = sim
-        self.records: List[IoRecord] = []
-        if epoch_ns is not None and epoch_ns < 0:
-            raise ValueError(f"epoch_ns cannot be negative: {epoch_ns}")
-        self._t0: Optional[int] = epoch_ns
-
-    @property
-    def epoch_ns(self) -> Optional[int]:
-        """The recording's time zero (None until the first record latches)."""
-        return self._t0
-
-    def record(self, kind: str, offset_bytes: int, size_bytes: int) -> None:
-        if self._t0 is None:
-            self._t0 = self.sim.now
-        self.records.append(
-            IoRecord(self.sim.now - self._t0, kind, offset_bytes, size_bytes)
-        )
-
-    def dump(self, fp: TextIO) -> int:
-        for record in self.records:
-            fp.write(json.dumps(asdict(record)) + "\n")
-        return len(self.records)
-
-
-def load_trace(fp: TextIO) -> List[IoRecord]:
-    """Parse a JSON-lines trace, validating every record.
-
-    Malformed lines raise :class:`TraceFormatError` naming the offending
-    line number; no bare ``ValueError``/``json.JSONDecodeError`` leaks
-    to callers.
-    """
-    records = []
-    for line_no, line in enumerate(fp, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"not valid JSON: {exc}", line_no) from exc
-        if not isinstance(payload, dict):
-            raise TraceFormatError(
-                f"expected a record object, got {type(payload).__name__}", line_no
-            )
-        try:
-            records.append(IoRecord(**payload))
-        except (TypeError, ValueError) as exc:
-            raise TraceFormatError(f"bad trace record: {exc}", line_no) from exc
-    return records
 
 
 class ReplayResult:

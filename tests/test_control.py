@@ -12,7 +12,6 @@ from repro.control import (
     LiveMigration,
     MigrationAbortedError,
     RollingUpgradeEngine,
-    analytic_share_trend,
     check_rollout_consistency,
     execute_upgrade_point,
     partition_waves,
@@ -42,21 +41,26 @@ def drill_spec(**upgrade_kw) -> ExperimentSpec:
 # DEFAULT_ROLLOUT properties (the analytic table the drill validates
 # against)
 # ----------------------------------------------------------------------
+def rollout_share(stack):
+    """One stack's fleet share, quarter by quarter, from the analytic table."""
+    return [DEFAULT_ROLLOUT[q].get(stack, 0.0) for q in QUARTERS]
+
+
 class TestRolloutTable:
     def test_quarters_sum_to_one(self):
         for quarter in QUARTERS:
             assert sum(DEFAULT_ROLLOUT[quarter].values()) == pytest.approx(1.0)
 
     def test_kernel_share_monotone_non_increasing(self):
-        kernel = analytic_share_trend("kernel")
+        kernel = rollout_share("kernel")
         assert all(a >= b for a, b in zip(kernel, kernel[1:]))
         assert kernel[-1] == 0.0
 
     def test_userspace_stacks_never_regress(self):
         # LUNA+SOLAR combined only ever grows: upgrades move servers off
         # the kernel stack, never back onto it.
-        luna = analytic_share_trend("luna")
-        solar = analytic_share_trend("solar")
+        luna = rollout_share("luna")
+        solar = rollout_share("solar")
         combined = [a + b for a, b in zip(luna, solar)]
         assert all(a <= b + 1e-9 for a, b in zip(combined, combined[1:]))
         # SOLAR alone also never regresses.
@@ -74,7 +78,7 @@ class TestRolloutTable:
         )
         artifact = execute_upgrade_point(spec, 0)
         terminal = artifact["waves"][-1]["mix"]
-        assert terminal["kernel"] == analytic_share_trend("kernel")[-1] == 0.0
+        assert terminal["kernel"] == rollout_share("kernel")[-1] == 0.0
         assert terminal["solar"] == 1.0
 
 

@@ -180,12 +180,6 @@ class TestFpga:
         sim.run()
         assert done == ["pkt"] and sim.now == 800
 
-    def test_fault_hook_applied(self):
-        fpga = FpgaDevice(Simulator(), "f")
-        fpga.set_fault_hook(lambda payload, ctx: payload + b"!")
-        assert fpga.pass_through(b"data", "crc") == b"data!"
-        assert fpga.pass_through(None, "crc") is None
-
     def test_negative_resources_rejected(self):
         with pytest.raises(ValueError):
             FpgaModuleSpec("bad", -1.0, 0.0)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 import repro.metrics.stats as stats_module
 from repro.metrics import (
-    Counter,
     IoTrace,
     LatencyStats,
-    TimeSeries,
     TraceCollector,
     percentile,
 )
@@ -69,13 +67,6 @@ class TestLatencyStats:
     def test_mean_of_empty_rejected(self):
         with pytest.raises(ValueError):
             LatencyStats("x").mean()
-
-    def test_counter(self):
-        c = Counter("ios")
-        c.add(10)
-        assert c.per_second(2_000_000_000) == 5.0
-        with pytest.raises(ValueError):
-            c.add(-1)
 
     def test_empty_summary_is_zero_row(self):
         summary = LatencyStats("idle").summary_us()
@@ -267,28 +258,3 @@ class TestIoTrace:
             attributed = sum(t.components.values())
             assert 0 < attributed <= t.total_ns
             assert t.unattributed_ns() >= 0
-
-
-class TestTimeSeries:
-    def test_bucketing(self):
-        ts = TimeSeries("iops", bucket_ns=1_000)
-        ts.add(100)
-        ts.add(999)
-        ts.add(1_000)
-        assert ts.buckets() == [(0, 2.0), (1_000, 1.0)]
-
-    def test_rates(self):
-        ts = TimeSeries("iops", bucket_ns=1_000_000_000)
-        for _ in range(500):
-            ts.add(0)
-        assert ts.rates_per_second()[0][1] == 500.0
-
-    def test_total(self):
-        ts = TimeSeries("bytes", bucket_ns=10)
-        ts.add(5, 100.0)
-        ts.add(15, 200.0)
-        assert ts.total() == 300.0
-
-    def test_bucket_width_validated(self):
-        with pytest.raises(ValueError):
-            TimeSeries("x", 0)

@@ -313,65 +313,3 @@ class TestEndpoint:
         a.uplinks[0].set_up(False)
         assert a.send(make_packet(src="a", dst="b")) is False
         assert a.tx_dropped == 1
-
-
-class TestPriorityQueue:
-    def _pq(self, capacity=10_000):
-        from repro.net.queue import PriorityQueue
-
-        return PriorityQueue(capacity, name="pq")
-
-    def test_solar_classified_high(self):
-        pq = self._pq()
-        pq.offer(make_packet(proto="solar"))
-        pq.offer(make_packet(proto="tcp"))
-        assert len(pq.high) == 1 and len(pq.low) == 1
-
-    def test_strict_priority_service(self):
-        pq = self._pq()
-        low = make_packet(proto="tcp")
-        high = make_packet(proto="solar")
-        pq.offer(low)
-        pq.offer(high)
-        assert pq.poll() is high  # dedicated queue served first (§4.8)
-        assert pq.poll() is low
-
-    def test_classes_have_separate_budgets(self):
-        pq = self._pq(capacity=2_000)
-        assert pq.offer(make_packet(proto="tcp", size=900))
-        assert not pq.offer(make_packet(proto="tcp", size=900))  # low full
-        assert pq.offer(make_packet(proto="solar", size=900))  # high intact
-
-    def test_aggregate_stats(self):
-        pq = self._pq()
-        pq.offer(make_packet(proto="solar", size=100))
-        pq.offer(make_packet(proto="tcp", size=200))
-        assert pq.bytes == 300 and pq.enqueued == 2
-        assert pq.clear() == 2 and len(pq) == 0
-
-    def test_channel_uses_priority_queue_when_asked(self):
-        from repro.net.queue import PriorityQueue
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        a, b = _Sink("a"), _Sink("b")
-        link = Link(sim, a, b, 10.0, 100, 10_000, priority=True)
-        assert isinstance(link.ab.queue, PriorityQueue)
-
-    def test_solar_jumps_queue_on_congested_port(self):
-        """With the dedicated queue, a SOLAR packet arriving behind bulk
-        low-class traffic is transmitted before it."""
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        dst = _Sink("dst")
-        src = _Sink("src")
-        ch = Channel(sim, "c", src, dst, 1.0, 0, 100_000, priority=True)
-        for _ in range(4):
-            ch.send(make_packet(proto="tcp", size=5_000))
-        ch.send(make_packet(proto="solar", size=1_000))
-        sim.run()
-        order = [p.proto for p, _ in dst.received]
-        # The first bulk packet was already on the wire; SOLAR overtakes
-        # the rest of the backlog.
-        assert order[1] == "solar"

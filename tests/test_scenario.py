@@ -39,25 +39,19 @@ from repro.scenario import (
     Scenario,
     SloGate,
     StreamMeta,
+    TraceFormatError,
     catalog_names,
     from_records,
     get_scenario,
     import_trace,
-    iter_trace_records,
     load_envelope,
     record_scenario,
     run_scenario,
-    save_envelope,
     trace_scenario,
 )
 from repro.scenario.envelope import envelope_kind
-from repro.sim import US, Simulator
-from repro.workloads.replay import (
-    IoRecord,
-    TraceFormatError,
-    TraceRecorder,
-    load_trace,
-)
+from repro.sim import US
+from repro.workloads.replay import IoRecord
 
 DATA_DIR = Path(__file__).parent / "data"
 CHAOS_DIR = Path(__file__).parent / "scenarios"
@@ -137,6 +131,10 @@ class TestFleetTrace:
         write([lines[0], lines[1], "{not json"])
         with pytest.raises(TraceFormatError, match="line 3"):
             FleetTrace.load(path)
+        write([lines[0], lines[1], "[1, 2]"])
+        with pytest.raises(TraceFormatError, match="line 3.*got list") as caught:
+            FleetTrace.load(path)
+        assert caught.value.line_no == 3
         write([lines[0], '{"s": "vd0", "t": 0, "k": "read", "o": 0}'])
         with pytest.raises(TraceFormatError, match="line 2.*missing key"):
             FleetTrace.load(path)
@@ -212,15 +210,6 @@ class TestFleetTrace:
         with pytest.raises(ValueError, match="max_records"):
             trace.subset(0)
 
-    def test_iter_trace_records_streams_the_file(self, tmp_path):
-        path = tmp_path / "t.trace.gz"
-        trace = mini_trace()
-        trace.dump(path)
-        seen = {}
-        for stream, record in iter_trace_records(path):
-            seen.setdefault(stream, []).append(record)
-        assert seen == trace.streams
-
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one stream"):
             FleetTrace("t", streams={})
@@ -231,54 +220,6 @@ class TestFleetTrace:
                        meta={"ghost": StreamMeta()})
         with pytest.raises(ValueError, match="vd_size_mb"):
             StreamMeta(vd_size_mb=0)
-
-
-# ----------------------------------------------------------------------
-# Seed recorder (workloads.replay): explicit epoch + typed load errors
-# ----------------------------------------------------------------------
-class TestSeedRecorder:
-    def test_explicit_epoch_makes_recorders_agree(self):
-        sim = Simulator()
-        early = TraceRecorder(sim, epoch_ns=0)
-        late = TraceRecorder(sim, epoch_ns=0)
-        sim.schedule(10 * US, early.record, "read", 0, 4096)
-        sim.schedule(30 * US, late.record, "read", 0, 4096)
-        sim.schedule(40 * US, early.record, "write", 4096, 4096)
-        sim.run()
-        # Absolute timestamps: both recorders anchor on the same zero.
-        assert [r.at_ns for r in early.records] == [10 * US, 40 * US]
-        assert [r.at_ns for r in late.records] == [30 * US]
-        assert early.epoch_ns == late.epoch_ns == 0
-
-    def test_legacy_first_record_latch_preserved(self):
-        sim = Simulator()
-        recorder = TraceRecorder(sim)
-        assert recorder.epoch_ns is None
-        sim.schedule(25 * US, recorder.record, "read", 0, 4096)
-        sim.schedule(45 * US, recorder.record, "read", 0, 4096)
-        sim.run()
-        assert recorder.epoch_ns == 25 * US  # latched on first record
-        assert [r.at_ns for r in recorder.records] == [0, 20 * US]
-
-    def test_negative_epoch_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            TraceRecorder(Simulator(), epoch_ns=-1)
-
-    def test_load_trace_typed_errors(self):
-        ok = '{"at_ns": 0, "kind": "read", "offset_bytes": 0, "size_bytes": 4096}'
-        with pytest.raises(TraceFormatError, match="line 2"):
-            load_trace(io.StringIO(ok + "\nnot json\n"))
-        with pytest.raises(TraceFormatError, match="line 1.*got list"):
-            load_trace(io.StringIO("[1, 2]\n"))
-        exc = None
-        try:
-            load_trace(io.StringIO(ok + "\n" + ok + "\n" + '{"kind": "zap"}' + "\n"))
-        except TraceFormatError as caught:
-            exc = caught
-        assert exc is not None and exc.line_no == 3
-        assert load_trace(io.StringIO(ok + "\n\n" + ok + "\n")) == [
-            IoRecord(0, "read", 0, 4096)
-        ] * 2
 
 
 # ----------------------------------------------------------------------
@@ -582,7 +523,7 @@ class TestEnvelope:
         scenario = trace_scenario("env-rt", "envelope round trip",
                                   mini_trace(), slo=SloGate(max_hangs=1))
         path = tmp_path / "scenario.json"
-        save_envelope(scenario, path)
+        path.write_text(json.dumps(scenario.to_dict(), indent=2, sort_keys=True))
         again = load_envelope(path)
         assert isinstance(again, Scenario)
         assert again.digest == scenario.digest

@@ -19,8 +19,6 @@ from repro.sim import (
     Simulator,
     US,
     format_ns,
-    ns_from_seconds,
-    seconds_from_ns,
 )
 from repro.sim.sched import COMPACT_MIN_GHOSTS
 
@@ -427,9 +425,6 @@ class TestRng:
 class TestTimeHelpers:
     def test_constants(self):
         assert US == 1_000 and MS == 1_000_000 and SECOND == 1_000_000_000
-
-    def test_round_trip(self):
-        assert seconds_from_ns(ns_from_seconds(1.5)) == pytest.approx(1.5)
 
     def test_format_ns(self):
         assert format_ns(500) == "500ns"

@@ -508,74 +508,3 @@ class TestChunkAndBlockServers:
     def test_bn_mode_validation(self):
         with pytest.raises(ValueError):
             BackendNetwork(Simulator(), DEFAULT, "quic")
-
-
-class TestCommitAggregation:
-    """§2.3 fn.1: LSM + commit aggregation batch small writes into one
-    sequential device commit."""
-
-    def _chunk(self, window_ns):
-        from dataclasses import replace
-
-        sim = Simulator(seed=6)
-        profile = replace(DEFAULT.ssd, commit_aggregation_ns=window_ns)
-        server = StorageServer(sim, Endpoint(sim, "c0"), "chunk")
-        return sim, ChunkServer(sim, server, profile)
-
-    def _write(self, sim, chunk, lba, done):
-        request = ChunkRequest("write", "seg", "vd", lba, BLOCK_SIZE)
-        chunk.handle(request, lambda reply, _size: done.append(reply))
-
-    def test_burst_shares_one_commit(self):
-        sim, chunk = self._chunk(window_ns=50_000)
-        done = []
-        for lba in range(8):
-            self._write(sim, chunk, lba, done)
-        sim.run()
-        assert len(done) == 8 and all(r.ok for r in done)
-        assert chunk.commits == 1
-        assert chunk.batched_writes == 8
-        assert chunk.ssd.writes == 1  # a single sequential device write
-
-    def test_spread_writes_use_multiple_commits(self):
-        sim, chunk = self._chunk(window_ns=10_000)
-        done = []
-        for i in range(4):
-            sim.schedule(i * 200_000, self._write, sim, chunk, i, done)
-        sim.run()
-        assert len(done) == 4
-        assert chunk.commits == 4
-
-    def test_aggregation_adds_bounded_latency(self):
-        window = 30_000
-        sim, chunk = self._chunk(window_ns=window)
-        done = []
-        self._write(sim, chunk, 0, done)
-        sim.run()
-        direct_sim, direct_chunk = self._chunk(window_ns=0)
-        direct_done = []
-        self._write(direct_sim, direct_chunk, 0, direct_done)
-        direct_sim.run()
-        assert done[0].service_ns <= direct_done[0].service_ns + window * 2
-
-    def test_disabled_by_default(self):
-        sim, chunk = self._chunk(window_ns=0)
-        done = []
-        for lba in range(3):
-            self._write(sim, chunk, lba, done)
-        sim.run()
-        assert chunk.commits == 0
-        assert chunk.ssd.writes == 3
-
-    def test_batched_data_still_stored_and_readable(self):
-        sim, chunk = self._chunk(window_ns=50_000)
-        done = []
-        payload = b"\x5d" * BLOCK_SIZE
-        request = ChunkRequest("write", "seg", "vd", 5, BLOCK_SIZE, data=payload)
-        chunk.handle(request, lambda reply, _s: done.append(reply))
-        sim.run()
-        got = []
-        chunk.handle(ChunkRequest("read", "seg", "vd", 5, BLOCK_SIZE),
-                     lambda reply, _s: got.append(reply))
-        sim.run()
-        assert got[0].data == payload

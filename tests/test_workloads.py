@@ -1,18 +1,24 @@
-"""Tests for workload generation: fio driver and production shapes."""
+"""Tests for workload generation: fio driver, production shapes, access
+patterns and trace replay."""
 
 import random
 
 import pytest
 
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
+from repro.profiles import BLOCK_SIZE
 from repro.sim import MS
 from repro.workloads import (
     EBS_TX_SHARE,
     FioSpec,
     IO_SIZE_PMF,
+    IoRecord,
     ProductionWorkload,
+    SequentialPattern,
     SizeDistribution,
+    ZipfianPattern,
     diurnal_iops,
+    replay,
     run_fio,
     synthesize_day,
     synthesize_week,
@@ -198,3 +204,102 @@ class TestFioPatterns:
         # Regression guard: the default spec must behave exactly as the
         # pre-pattern implementation (uniform offsets from the same RNG).
         assert FioSpec().pattern == "random"
+
+
+class TestPatterns:
+    DISK = 64 * 1024 * 1024
+
+    def test_sequential_is_monotonic_then_wraps(self):
+        pattern = SequentialPattern(self.DISK)
+        offsets = [pattern.next_offset(BLOCK_SIZE) for _ in range(5)]
+        assert offsets == [i * BLOCK_SIZE for i in range(5)]
+        pattern_end = SequentialPattern(self.DISK, start_offset=self.DISK - BLOCK_SIZE)
+        assert pattern_end.next_offset(BLOCK_SIZE) == self.DISK - BLOCK_SIZE
+        assert pattern_end.next_offset(BLOCK_SIZE) == 0  # wrapped
+
+    def test_zipfian_is_skewed(self):
+        pattern = ZipfianPattern(self.DISK, random.Random(2), theta=0.9)
+        counts: dict = {}
+        for _ in range(5_000):
+            offset = pattern.next_offset(BLOCK_SIZE)
+            counts[offset] = counts.get(offset, 0) + 1
+        top = sorted(counts.values(), reverse=True)
+        # The hottest block gets far more than a uniform share.
+        assert top[0] > 5_000 / len(counts) * 5
+
+    def test_zipfian_validation(self):
+        with pytest.raises(ValueError):
+            ZipfianPattern(self.DISK, random.Random(1), theta=1.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda disk: SequentialPattern(disk),
+        lambda disk: ZipfianPattern(disk, random.Random(1)),
+    ], ids=["sequential", "zipfian"])
+    def test_io_too_large_rejected(self, make):
+        pattern = make(BLOCK_SIZE)
+        with pytest.raises(ValueError):
+            pattern.next_offset(2 * BLOCK_SIZE)
+
+
+class TestReplay:
+    def _deployment(self):
+        dep = EbsDeployment(DeploymentSpec(stack="solar", seed=5))
+        vd = VirtualDisk(dep, "vd0", dep.compute_host_names()[0], 128 * 1024 * 1024)
+        return dep, vd
+
+    def test_record_validation(self):
+        with pytest.raises(ValueError):
+            IoRecord(0, "erase", 0, 4096)
+        with pytest.raises(ValueError):
+            IoRecord(-1, "read", 0, 4096)
+
+    def test_replay_reissues_everything(self):
+        dep, vd = self._deployment()
+        records = [
+            IoRecord(i * 100_000, "write" if i % 3 else "read", i * 4096, 4096)
+            for i in range(30)
+        ]
+        result = replay(dep.sim, vd, records)
+        dep.run()
+        assert result.issued == 30
+        assert result.completed == 30
+        assert result.latency.count == 30
+
+    def test_replay_respects_time_scale(self):
+        dep, vd = self._deployment()
+        records = [IoRecord(1 * MS, "write", 0, 4096)]
+        replay(dep.sim, vd, records, time_scale=3.0)
+        first_event = dep.sim.peek_time()
+        assert first_event >= 3 * MS
+
+    def test_replay_clamps_out_of_range_offsets(self):
+        dep, vd = self._deployment()
+        records = [IoRecord(0, "write", 10**12, 4096)]
+        result = replay(dep.sim, vd, records)
+        dep.run()
+        assert result.completed == 1
+
+    def test_time_scale_validated(self):
+        dep, vd = self._deployment()
+        with pytest.raises(ValueError):
+            replay(dep.sim, vd, [], time_scale=0)
+
+    def test_same_records_replay_faster_on_solar(self):
+        """Replay one I/O population on LUNA and on SOLAR: same records,
+        different latency — the cross-stack methodology of Figure 6."""
+        rng = random.Random(8)
+        records = [
+            IoRecord(0, "read" if rng.random() < 0.2 else "write",
+                     (i * 7919 % 1000) * 4096, 4096)
+            for i in range(40)
+        ]
+        results = {}
+        for stack in ("luna", "solar"):
+            dep = EbsDeployment(DeploymentSpec(stack=stack, seed=8))
+            vd = VirtualDisk(dep, "vd0", dep.compute_host_names()[0],
+                             128 * 1024 * 1024)
+            result = replay(dep.sim, vd, records)
+            dep.run()
+            assert result.completed == 40
+            results[stack] = result.latency.mean()
+        assert results["solar"] < results["luna"]
