@@ -20,6 +20,7 @@ import json
 import sys
 
 from ..lab.spec import canonical_json
+from ..rebuild.throttle import REBUILD_POLICIES
 
 #: Exit status for "the harness found / reproduced an invariant violation"
 #: (distinct from argparse's 2 for usage errors).
@@ -61,12 +62,9 @@ def add_chaos_parser(sub: argparse._SubParsersAction) -> None:
         help="hunt: write the shrunken failing scenario here",
     )
     parser.add_argument(
-        "--rebuild-policy", default="",
-        choices=("", "static", "deadline", "reactive"),
-        help="hunt: route node failovers through the rebuild planner "
-             "under this throttle policy (default: off — instant "
-             "evacuation), enabling the trigger_rebuild / "
-             "fail_rebuild_source rules",
+        "--rebuild-policy", default="static", choices=REBUILD_POLICIES,
+        help="hunt: throttle policy of the rebuild executor that "
+             "re-copies a failed node's replicas (default static)",
     )
 
 
@@ -77,14 +75,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _replay(args: argparse.Namespace) -> int:
-    from .harness import replay_scenario
+    from .harness import ChaosConfig, replay_scenario
     from .scenario import ChaosScenario
 
     try:
         scenario = ChaosScenario.load(args.replay)
-    except (OSError, ValueError, KeyError) as exc:
-        # Unreadable file, bad JSON/schema, or a digest mismatch: a usage
-        # error (2), distinct from a reproduced violation (3).
+        ChaosConfig.from_dict(scenario.config)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # Unreadable file, bad JSON/schema, a digest mismatch or a config
+        # the harness rejects: a usage error (2), distinct from a
+        # reproduced violation (3).
         print(f"chaos: cannot load scenario {args.replay!r}: {exc}",
               file=sys.stderr)
         return 2

@@ -3,12 +3,13 @@
 :class:`ChaosHarness` stands up the full operational stack on one
 simulator — a multi-stack :class:`~repro.control.cluster.ControlledCluster`,
 a shared :class:`~repro.control.health.HealthMonitor`, per-stack
-:class:`~repro.control.failover.FailoverOrchestrator`\\ s and
+:class:`~repro.control.failover.FailoverOrchestrator`\\ s handing node
+deaths to :class:`~repro.rebuild.planner.RebuildPlanner`\\ s,
 :class:`~repro.telemetry.plane.TelemetryPlane`\\ s, and a
 :class:`~repro.faults.fpga_errors.BitFlipInjector` on every SOLAR
 offload — then exposes a small vocabulary of *actions* (write, read,
-fail/heal a node or ToR, flip FPGA bits, start a migration, advance the
-clock) that both the hypothesis state machine and the scenario replayer
+fail/heal a node or ToR, kill a rebuild source, flip FPGA bits, start a
+migration, advance the clock) that both the hypothesis state machine and the scenario replayer
 drive through one code path, :meth:`apply`.
 
 Every applied action is logged, so any run — including the shrunken
@@ -84,12 +85,11 @@ class ChaosConfig:
     #: (auto-resolution) checks.
     quiesce_ns: int = 150 * MS
     max_node_faults_per_stack: int = 2
-    #: Rebuild-storm mode: "" keeps the legacy instant evacuation; a
-    #: throttle policy name ("static"/"deadline"/"reactive") routes node
-    #: failovers through the `repro.rebuild` planner instead, so lost
+    #: Throttle policy ("static"/"deadline"/"reactive") of the
+    #: `repro.rebuild` executor every node failover runs through: lost
     #: replicas are re-copied as real backend-network traffic that the
-    #: trigger_rebuild / fail_rebuild_source actions can then attack.
-    rebuild_policy: str = ""
+    #: fail_rebuild_source action can then attack.
+    rebuild_policy: str = "static"
     rebuild_rate_gbps: int = 8
     rebuild_swarm: int = 1
     rebuild_chunk_kb: int = 64
@@ -97,10 +97,10 @@ class ChaosConfig:
     def __post_init__(self) -> None:
         if len(self.stacks) < 2:
             raise ValueError("chaos needs >= 2 stacks to migrate between")
-        if self.rebuild_policy and self.rebuild_policy not in REBUILD_POLICIES:
+        if self.rebuild_policy not in REBUILD_POLICIES:
             raise ValueError(
-                f"rebuild_policy {self.rebuild_policy!r} must be '' (off) "
-                f"or one of {REBUILD_POLICIES}"
+                f"rebuild_policy {self.rebuild_policy!r} must be one of "
+                f"{REBUILD_POLICIES}"
             )
         if self.rebuild_rate_gbps <= 0 or self.rebuild_chunk_kb <= 0:
             raise ValueError("rebuild rate and chunk size must be positive")
@@ -170,62 +170,45 @@ class ChaosHarness:
                 miss_threshold=config.miss_threshold,
             ),
         )
-        # One orchestrator + telemetry plane per stack; deployments reuse
-        # host names, so probes register under a per-stack prefix.
+        # One rebuild executor + planner, orchestrator and telemetry plane
+        # per stack; deployments reuse host names, so probes register
+        # under a per-stack prefix.
         self.orchestrators: Dict[str, FailoverOrchestrator] = {}
         self.planes: Dict[str, TelemetryPlane] = {}
-        # Empty when rebuild_policy is "" (legacy instant evacuation).
-        self.rebuild_executors: Dict[str, RebuildExecutor] = {}
         self.rebuild_planners: Dict[str, RebuildPlanner] = {}
         for stack in config.stacks:
             deployment = self.cluster.deployments[stack]
-            planner = None
-            if config.rebuild_policy:
-                policy = make_policy(
+            executor = RebuildExecutor(
+                deployment,
+                make_policy(
                     config.rebuild_policy,
                     rate_bps=config.rebuild_rate_gbps * 1e9,
-                )
-                executor = RebuildExecutor(
-                    deployment,
-                    policy,
-                    swarm=bool(config.rebuild_swarm),
-                    chunk_bytes=config.rebuild_chunk_kb * 1024,
-                )
-                planner = RebuildPlanner(
-                    deployment,
-                    executor,
-                    monitor=self.monitor,
-                    node_prefix=f"{stack}/",
-                )
-                self.rebuild_executors[stack] = executor
-                self.rebuild_planners[stack] = planner
+                ),
+                swarm=bool(config.rebuild_swarm),
+                chunk_bytes=config.rebuild_chunk_kb * 1024,
+            )
+            planner = RebuildPlanner(
+                deployment, executor, self.monitor, node_prefix=f"{stack}/"
+            )
+            self.rebuild_planners[stack] = planner
             orchestrator = FailoverOrchestrator(
                 deployment,
                 self.monitor,
+                planner,
                 FailoverPolicy(reroute_delay_ns=config.reroute_delay_ns),
                 node_prefix=f"{stack}/",
-                planner=planner,
             )
             orchestrator.watch_storage()
             self.orchestrators[stack] = orchestrator
-            self.planes[stack] = TelemetryPlane(
+            plane = TelemetryPlane(
                 deployment,
                 interval_ns=config.scrape_interval_ns,
                 slo_ns=config.slo_ns,
                 health=self.monitor,
             )
-            if stack in self.rebuild_executors:
-                self.planes[stack].watch_rebuild(self.rebuild_executors[stack])
-                if config.rebuild_policy == "reactive":
-                    # The reactive policy closes its loop over the plane's
-                    # foreground p99 sketches, exactly as in the drill.
-                    pol = self.rebuild_executors[stack].policy
-                    self.planes[stack].scraper.subscribe(
-                        lambda snap, pol=pol: pol.observe_window(
-                            snap.get("fleet.latency.p99")
-                        )
-                    )
-            self.planes[stack].start()
+            plane.watch_rebuild(executor)
+            plane.start()
+            self.planes[stack] = plane
         self.monitor.start()
         # FPGA bit-flip lever, armed at rate 0 on every SOLAR offload.
         self.injector = BitFlipInjector(self.sim.rng.stream("chaos-bitflip"))
@@ -471,17 +454,6 @@ class ChaosHarness:
         entry[0].revert(topology)
 
     # -- rebuild storms -------------------------------------------------
-    def _do_trigger_rebuild(self, stack: str, node: int) -> None:
-        """Node kill routed through the rebuild planner: an alias of
-        ``fail_node`` that only fires when rebuilds are enabled, so a
-        scenario reads as what it actually exercises."""
-        if not self._known_stack(stack):
-            return
-        if stack not in self.rebuild_planners:
-            self.deferred_actions += 1
-            return
-        self._do_fail_node(stack, node)
-
     def _do_fail_rebuild_source(self, stack: str, node: int) -> None:
         """Kill a node that is actively *seeding* a rebuild, forcing the
         executor's source-loss path (reserve promotion in unicast, stream
@@ -490,12 +462,11 @@ class ChaosHarness:
         and the node-fault cap applies across both kill flavours."""
         if not self._known_stack(stack):
             return
-        executor = self.rebuild_executors.get(stack)
-        if executor is None:
-            self.deferred_actions += 1
-            return
         failed = set(self.failed_nodes(stack))
-        sources = [s for s in executor.active_source_nodes() if s not in failed]
+        sources = [
+            s for s in self.rebuild_planners[stack].executor.active_source_nodes()
+            if s not in failed
+        ]
         if not sources or len(failed) >= self.config.max_node_faults_per_stack:
             self.deferred_actions += 1
             return
@@ -586,12 +557,10 @@ class ChaosHarness:
             "rebuild_ledgers": {
                 stack: self.rebuild_planners[stack].audit()
                 for stack in self.config.stacks
-                if stack in self.rebuild_planners
             },
             "rebuild_bytes": {
-                stack: self.rebuild_executors[stack].bytes_done
+                stack: self.rebuild_planners[stack].executor.bytes_done
                 for stack in self.config.stacks
-                if stack in self.rebuild_executors
             },
             "invariant_checks": self.suite.checks_run,
         }

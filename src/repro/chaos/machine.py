@@ -2,7 +2,7 @@
 
 :class:`ControlPlaneMachine` is a hypothesis ``RuleBasedStateMachine``
 whose rules are the :class:`~repro.chaos.harness.ChaosHarness` actions:
-inject/clear node and ToR faults, flip FPGA bits, start live migrations,
+inject/clear node and ToR faults, kill rebuild sources, flip FPGA bits, start live migrations,
 issue foreground I/O, advance the simulated clock.  The full
 :class:`~repro.chaos.invariants.InvariantSuite` runs after **every** rule
 (hypothesis's ``@invariant``), and the quiesced-cluster checks run at
@@ -121,15 +121,6 @@ class ControlPlaneMachine(RuleBasedStateMachine):
     def start_migration(self, server: int) -> None:
         self._apply("migrate", server=server)
 
-    @precondition(lambda self: bool(self.CONFIG.rebuild_policy))
-    @rule(
-        stack=st.sampled_from(ChaosConfig().stacks),
-        node=st.integers(min_value=0, max_value=15),
-    )
-    def trigger_rebuild(self, stack: str, node: int) -> None:
-        self._apply("trigger_rebuild", stack=stack, node=node)
-
-    @precondition(lambda self: bool(self.CONFIG.rebuild_policy))
     @rule(
         stack=st.sampled_from(ChaosConfig().stacks),
         node=st.integers(min_value=0, max_value=15),

@@ -42,7 +42,6 @@ ACTION_RULES = (
     "clear_tor",
     "set_bitflip",
     "migrate",
-    "trigger_rebuild",
     "fail_rebuild_source",
 )
 

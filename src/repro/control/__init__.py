@@ -11,7 +11,8 @@ Modules:
 * :mod:`~repro.control.health` — heartbeat + I/O-hang health monitor
   declaring :class:`Incident`\\ s;
 * :mod:`~repro.control.failover` — the Table 2 recovery playbook as one
-  policy-driven orchestrator (evacuate + re-route + record);
+  policy-driven orchestrator (re-route + re-replicate through the
+  `repro.rebuild` planner + record);
 * :mod:`~repro.control.migration` — VD live migration with
   pause → drain → attach phase accounting;
 * :mod:`~repro.control.cluster` — per-stack deployments sharing one

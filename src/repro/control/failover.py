@@ -3,10 +3,11 @@
 Table 2 and §5 describe one recovery playbook used across every failure
 scenario: detect the dead component, move the segments it hosted to
 healthy block/chunk servers, and push the new mapping to the agents.  The
-benchmarks used to hand-roll pieces of this per scenario; the
 :class:`FailoverOrchestrator` packages it as a single policy-driven loop
-on top of the health monitor, so a drill is "inject fault, run, read the
-recovery records".
+on top of the health monitor, and hands every node death to a
+:class:`~repro.rebuild.planner.RebuildPlanner`, which re-routes the
+segments at once and re-copies the lost replicas as real backend-network
+traffic.  A drill is "inject fault, run, read the recovery records".
 """
 
 from __future__ import annotations
@@ -58,20 +59,19 @@ class FailoverOrchestrator:
         self,
         deployment: EbsDeployment,
         monitor: HealthMonitor,
+        planner,
         policy: FailoverPolicy = FailoverPolicy(),
         node_prefix: str = "",
-        planner=None,
     ):
         self.deployment = deployment
         self.sim = deployment.sim
         self.monitor = monitor
-        self.policy = policy
-        #: Optional :class:`~repro.rebuild.planner.RebuildPlanner` (duck
-        #: typed, no import cycle).  When set, a node failure plans real
-        #: re-replication traffic *instead of* instant evacuation: the
-        #: segment table is updated immediately (reads keep working off
-        #: survivors) but the new replicas fill at data-plane speed.
+        #: The :class:`~repro.rebuild.planner.RebuildPlanner` (duck typed,
+        #: no import cycle).  A node failure updates the segment table
+        #: immediately (reads keep working off survivors) while the new
+        #: replicas fill at data-plane speed.
         self.planner = planner
+        self.policy = policy
         #: Disambiguates probe names when several deployments (which reuse
         #: the same host names, e.g. ``sp/r0/h0`` per stack) share one
         #: monitor — e.g. ``"solar/"``.  Incident nodes carry the prefix;
@@ -123,7 +123,7 @@ class FailoverOrchestrator:
             return
         self._evacuated.add(node)
         self.sim.schedule(
-            self.policy.reroute_delay_ns, self._evacuate, node, incident
+            self.policy.reroute_delay_ns, self._reroute, node, incident
         )
 
     def _on_resolved(self, incident: Incident) -> None:
@@ -134,10 +134,9 @@ class FailoverOrchestrator:
             return
         self._evacuated.discard(node)
         self.deployment.segment_table.restore(node)
-        if self.planner is not None:
-            self.planner.on_node_recovered(node)
+        self.planner.on_node_recovered(node)
 
-    def _evacuate(self, node: str, incident: Incident) -> None:
+    def _reroute(self, node: str, incident: Incident) -> None:
         if node not in self._evacuated:
             return  # recovered during the reroute delay
         healthy = [
@@ -145,10 +144,7 @@ class FailoverOrchestrator:
             for name in sorted(self.deployment.storage_servers)
             if name != node and self._alive(name)
         ]
-        if self.planner is not None:
-            changed = self.planner.on_node_failure(node, healthy)
-        else:
-            changed = self.deployment.segment_table.evacuate(node, healthy)
+        changed = self.planner.on_node_failure(node, healthy)
         for vd_id in sorted(changed):
             self.deployment.refresh_vd(vd_id)
         self.records.append(

@@ -1,10 +1,9 @@
 """repro.rebuild: re-replication storms as real backend-network traffic.
 
-The control plane used to "recover" instantly — ``SegmentTable.evacuate``
-rewired memberships and Table 2's clocks stopped at the metadata push.
-This package models what the paper's recovery numbers actually cost: the
-lost replicas' bytes move through the same BN/chunk-server/SSD resources
-that serve foreground I/O, under a pluggable throttle policy, optionally
+This package is the control plane's one recovery path: every storage-node
+death the failover orchestrator handles is re-replicated here.  The lost
+replicas' bytes move through the same BN/chunk-server/SSD resources that
+serve foreground I/O, under a pluggable throttle policy, optionally
 swarming from every surviving replica at once.
 
 * :mod:`~repro.rebuild.planner` — failure events to transfer schedules,

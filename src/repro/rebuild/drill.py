@@ -87,12 +87,12 @@ def execute_rebuild_point(spec: ExperimentSpec, seed: int) -> Dict[str, Any]:
         chunk_bytes=rb.chunk_kb * 1024,
         max_active_transfers=rb.max_active_transfers,
     )
-    planner = RebuildPlanner(dep, executor, monitor=health)
+    planner = RebuildPlanner(dep, executor, health)
     orchestrator = FailoverOrchestrator(
         dep,
         health,
+        planner,
         FailoverPolicy(reroute_delay_ns=_REROUTE_DELAY_NS),
-        planner=planner,
     )
     orchestrator.watch_storage()
 
@@ -111,10 +111,6 @@ def execute_rebuild_point(spec: ExperimentSpec, seed: int) -> Dict[str, Any]:
         )
         plane.watch_vd(vd)
         plane.watch_rebuild(executor)
-        if rb.policy == "reactive":
-            plane.scraper.subscribe(
-                lambda snap: policy.observe_window(snap.get("fleet.latency.p99"))
-            )
 
     # Timestamped foreground completions, for the during-storm p99 window.
     fg_samples: List[Tuple[int, int]] = []

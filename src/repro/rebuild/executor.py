@@ -330,7 +330,3 @@ class RebuildExecutor:
     def current_rate_bps(self) -> float:
         remaining = max(self.bytes_planned - self.bytes_done, 0)
         return float(self.policy.rate_bps(self.sim.now, remaining))
-
-    def attach_telemetry(self, plane) -> None:
-        """Export progress gauges via ``plane.watch_rebuild``."""
-        plane.watch_rebuild(self)

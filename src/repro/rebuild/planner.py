@@ -111,14 +111,14 @@ class RebuildPlanner:
         self,
         deployment,
         executor: RebuildExecutor,
-        monitor=None,
+        monitor,
         node_prefix: str = "",
     ):
         self.deployment = deployment
         self.sim = deployment.sim
         self.executor = executor
-        #: Optional :class:`~repro.control.health.HealthMonitor` (duck
-        #: typed — only ``declare``/``resolve`` are used) for the
+        #: The :class:`~repro.control.health.HealthMonitor` (duck typed —
+        #: only ``declare``/``resolve`` are used) for the
         #: :data:`REBUILD_STUCK` incidents.
         self.monitor = monitor
         self.node_prefix = node_prefix
@@ -143,9 +143,10 @@ class RebuildPlanner:
     # Control-plane entry points (called by FailoverOrchestrator)
     # ------------------------------------------------------------------
     def on_node_failure(self, node: str, healthy: Sequence[str]) -> Dict[str, int]:
-        """Plan the rebuild for ``node``'s death.  Returns the same
-        ``{vd_id: segments_changed}`` map ``SegmentTable.evacuate`` would,
-        so the orchestrator's recovery records are comparable."""
+        """Plan the rebuild for ``node``'s death.  Returns the
+        ``{vd_id: segments_changed}`` half of
+        :meth:`SegmentTable.begin_rebuild`'s answer, which the orchestrator
+        turns into its recovery record and per-VD table pushes."""
         # A stalled transfer whose destination just died is superseded by
         # the re-planned item begin_rebuild is about to emit.
         for key in sorted(self._stalled):
@@ -246,7 +247,7 @@ class RebuildPlanner:
     def _stall(self, transfer: RebuildTransfer) -> None:
         key = (transfer.segment_id, transfer.destination)
         self._stalled[key] = transfer
-        if self.monitor is not None and key not in self._stall_incidents:
+        if key not in self._stall_incidents:
             self._stall_incidents[key] = self.monitor.declare(
                 REBUILD_STUCK,
                 f"{self.node_prefix}{transfer.destination}",
@@ -258,7 +259,7 @@ class RebuildPlanner:
 
     def _resolve_stall(self, key: Tuple[str, str]) -> None:
         incident = self._stall_incidents.pop(key, None)
-        if incident is not None and self.monitor is not None:
+        if incident is not None:
             self.monitor.resolve(incident)
 
     # ------------------------------------------------------------------

@@ -80,11 +80,12 @@ class SegmentTable:
 
     def __init__(self) -> None:
         self._segments: Dict[str, List[Segment]] = {}
-        #: Servers evacuated by the control plane and not yet restored.
-        #: Placement (``provision``) avoids them, and a repeat ``evacuate``
-        #: of one is an explicit no-op — overlapping incidents on the same
-        #: host must not double-count ``segments_moved`` or re-place data
-        #: onto a node the fleet already considers dead.
+        #: Servers evacuated by ``begin_rebuild`` and not yet restored.
+        #: Placement (``provision``) avoids them, and a repeat
+        #: ``begin_rebuild`` of one is an explicit no-op — overlapping
+        #: incidents on the same host must not double-count
+        #: ``segments_moved`` or re-place data onto a node the fleet
+        #: already considers dead.
         self._evacuated: set = set()
         #: Pending-rebuild state: segment_id -> replica names that are in
         #: the membership but have not yet received the segment's bytes.
@@ -170,30 +171,20 @@ class SegmentTable:
                     out.append((vd_id, index, seg))
         return out
 
-    def evacuate(self, server: str, replacements: Sequence[str]) -> Dict[str, int]:
-        """Move every segment off a failed server — the §2.2 "segments on
-        the failed block server are re-routed to other block servers"
-        recovery path, made reusable for the failover orchestrator.
-
-        ``server`` loses its role both as hosting block server and as
-        replica; replacement picks are hash-spread so recovery placement
-        is deterministic.  Returns ``{vd_id: segments_changed}``.
-
-        Idempotent: a second evacuation of an already-evacuated server
-        (overlapping incidents on the same host) is a no-op returning
-        ``{}`` — it must not double-count moved segments.  The server
-        stays quarantined from new placement until :meth:`restore`.
-        """
-        changed, _items = self._relocate(server, replacements, rebuild=False)
-        return changed
-
     def begin_rebuild(
         self, server: str, replacements: Sequence[str]
     ) -> Tuple[Dict[str, int], List[RebuildItem]]:
-        """Like :meth:`evacuate`, but the replacement replicas start empty:
-        each segment where ``server`` held a copy becomes *pending rebuild*
-        and a :class:`RebuildItem` describes the copy job (sources,
+        """Move every segment off a failed server — the §2.2 "segments on
+        the failed block server are re-routed to other block servers"
+        recovery path, driven by the `repro.rebuild` planner.
+
+        ``server`` loses its role both as hosting block server and as
+        replica; replacement picks are hash-spread so recovery placement
+        is deterministic.  The replacement replicas start empty: each
+        segment where ``server`` held a copy becomes *pending rebuild* and
+        a :class:`RebuildItem` describes the copy job (sources,
         destination, byte count) the `repro.rebuild` executor must run.
+        Returns ``({vd_id: segments_changed}, items)``.
 
         The destination is appended *last* in the membership tuple so the
         read path (``replicas[0]``) keeps landing on a data-holding
@@ -203,13 +194,11 @@ class SegmentTable:
         pending marker moves to the fresh destination, so in-flight
         transfers are re-queued instead of silently dropped.
 
-        Same quarantine and idempotency contract as :meth:`evacuate`.
+        Idempotent: a second call for an already-quarantined server
+        (overlapping incidents on the same host) is a no-op returning
+        ``({}, [])`` — it must not double-count moved segments.  The
+        server stays quarantined from new placement until :meth:`restore`.
         """
-        return self._relocate(server, replacements, rebuild=True)
-
-    def _relocate(
-        self, server: str, replacements: Sequence[str], rebuild: bool
-    ) -> Tuple[Dict[str, int], List[RebuildItem]]:
         if server in replacements:
             raise ValueError(f"cannot evacuate {server!r} onto itself")
         replacements = [r for r in replacements if r not in self._evacuated]
@@ -235,30 +224,19 @@ class SegmentTable:
                         f"{list(replacements)} already hold a copy"
                     )
                 pick = pool[self._spread(seg.segment_id, "fo-rep") % len(pool)]
-                pending = self._rebuilding.get(seg.segment_id)
-                requeued = bool(pending) and server in pending
-                if requeued:
-                    pending.discard(server)
-                if rebuild:
-                    survivors = tuple(r for r in new_reps if r != server)
-                    new_reps = survivors + (pick,)
-                    pending = self._rebuilding.setdefault(seg.segment_id, set())
-                    pending.add(pick)
-                    sources = tuple(r for r in survivors if r not in pending)
-                    items.append(
-                        RebuildItem(
-                            vd_id, index, seg.segment_id, seg.start_lba,
-                            seg.num_blocks, pick, sources, requeued=requeued,
-                        )
+                pending = self._rebuilding.setdefault(seg.segment_id, set())
+                requeued = server in pending
+                pending.discard(server)
+                pending.add(pick)
+                survivors = tuple(r for r in new_reps if r != server)
+                new_reps = survivors + (pick,)
+                sources = tuple(r for r in survivors if r not in pending)
+                items.append(
+                    RebuildItem(
+                        vd_id, index, seg.segment_id, seg.start_lba,
+                        seg.num_blocks, pick, sources, requeued=requeued,
                     )
-                else:
-                    # Instant-evacuation semantics (no rebuild data plane):
-                    # the pick takes the dead server's slot.  A pending
-                    # marker that pointed at the dead server follows the
-                    # replacement so the books stay consistent.
-                    new_reps = tuple(pick if r == server else r for r in new_reps)
-                    if requeued:
-                        self._rebuilding[seg.segment_id].add(pick)
+                )
             self._segments[vd_id][index] = dataclasses.replace(
                 seg, block_server=new_bs, replicas=new_reps
             )
@@ -293,14 +271,15 @@ class SegmentTable:
         """Lift a server's evacuation quarantine (it rejoined the fleet).
 
         Existing segments are not rebalanced back; the server simply
-        becomes eligible for new placement and future evacuations again.
+        becomes eligible for new placement, as a rebuild destination, and
+        for a fresh :meth:`begin_rebuild` if it dies again.
         Idempotent.
         """
         self._evacuated.discard(server)
 
     @property
     def evacuated(self) -> frozenset:
-        """Servers currently quarantined by :meth:`evacuate`."""
+        """Servers currently quarantined by :meth:`begin_rebuild`."""
         return frozenset(self._evacuated)
 
     # ------------------------------------------------------------------

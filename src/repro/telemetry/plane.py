@@ -145,14 +145,20 @@ class TelemetryPlane:
         vd.subscribe(observe)
 
     def watch_rebuild(self, executor) -> None:
-        """Export one rebuild executor's storm progress as gauges.
+        """Export one rebuild executor's storm progress as gauges, and feed
+        its throttle policy each scrape window's foreground p99.
 
         ``rebuild.rate_bps`` samples the throttle policy's current answer,
         so a scraped dashboard shows the reactive policy breathing; the
         byte/transfer gauges make recovery progress and its foreground
         impact (via ``fleet.latency.p99`` on the same snapshots) a single
-        correlated time series.
+        correlated time series.  The p99 feed closes the reactive policy's
+        loop; for the other policies ``observe_window`` is a no-op.
         """
+        policy = executor.policy
+        self.scraper.subscribe(
+            lambda snap: policy.observe_window(snap.get("fleet.latency.p99"))
+        )
         self.registry.gauge(
             "rebuild.bytes_planned", fn=lambda: float(executor.bytes_planned)
         )

@@ -10,6 +10,7 @@ Three layers:
   with zero violations and a byte-identical report.
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -46,6 +47,13 @@ DRAIN_FAULT_ACTIONS = [
 def run_actions(harness, actions):
     for rule, args in actions:
         harness.apply(rule, **args)
+
+
+@functools.lru_cache(maxsize=None)
+def replay_file(path):
+    """One committed scenario and its replay report (replayed once)."""
+    scenario = ChaosScenario.load(path)
+    return scenario, replay_scenario(scenario)
 
 
 # ----------------------------------------------------------------------
@@ -221,11 +229,24 @@ class TestReplay:
         "path", SCENARIO_FILES, ids=[p.stem for p in SCENARIO_FILES]
     )
     def test_regression_scenario_replays_clean(self, path):
-        scenario = ChaosScenario.load(path)
-        report = replay_scenario(scenario)
+        scenario, report = replay_file(path)
         assert report["violations"] == []
         assert report["steps_applied"] == len(scenario.actions)
         assert report["digest"] == scenario.digest
+
+    @pytest.mark.parametrize(
+        "path", SCENARIO_FILES, ids=[p.stem for p in SCENARIO_FILES]
+    )
+    def test_every_stack_rebuilds_and_settles(self, path):
+        # Every node failover re-replicates through the rebuild planner,
+        # so each stack keeps a ledger, and after quiesce nothing is
+        # still copying or stalled.
+        scenario, report = replay_file(path)
+        ledgers = report["rebuild_ledgers"]
+        assert sorted(ledgers) == sorted(ChaosConfig.from_dict(scenario.config).stacks)
+        for ledger in ledgers.values():
+            assert ledger["active"] == ledger["stalled"] == 0
+            assert ledger["started"] == ledger["completed"] + ledger["requeued"]
 
     def test_replay_byte_identical(self):
         scenario = ChaosScenario.load(SCENARIO_FILES[0])
@@ -329,4 +350,21 @@ class TestChaosCli:
 
     def test_missing_file_rejected(self, tmp_path, capsys):
         assert main(["chaos", "--replay", str(tmp_path / "nope.json")]) == 2
+        assert "cannot load scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"bogus_knob": 1}, {"stacks": ["luna"]}, {"rebuild_policy": ""}],
+        ids=["unknown-key", "one-stack", "no-rebuild-policy"],
+    )
+    def test_invalid_config_rejected(self, tmp_path, capsys, override):
+        # Digest-valid files whose config the harness refuses are a usage
+        # error, not a traceback.
+        path = tmp_path / "bad-config.json"
+        ChaosScenario(
+            name="bad-config",
+            config={**ChaosConfig().to_dict(), **override},
+            actions=[ChaosAction("advance", {"ticks": 1})],
+        ).save(path)
+        assert main(["chaos", "--replay", str(path)]) == 2
         assert "cannot load scenario" in capsys.readouterr().err

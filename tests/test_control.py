@@ -22,11 +22,21 @@ from repro.ebs.evolution import DEFAULT_ROLLOUT, QUARTERS
 from repro.ebs.virtual_disk import VdStateError
 from repro.faults import IoHangMonitor
 from repro.lab.spec import ExperimentSpec, UpgradeSpec, canonical_json
+from repro.rebuild import RebuildExecutor, RebuildPlanner, StaticCapPolicy
 from repro.sim import MS, SECOND, Simulator
 
 
 def small_deployment(stack="luna", seed=7, **kw):
     return EbsDeployment(DeploymentSpec(stack=stack, seed=seed, **kw))
+
+
+def orchestrator(dep, monitor, node_prefix=""):
+    """A failover orchestrator whose rebuild planner copies at a static cap."""
+    planner = RebuildPlanner(
+        dep, RebuildExecutor(dep, StaticCapPolicy()), monitor,
+        node_prefix=node_prefix,
+    )
+    return FailoverOrchestrator(dep, monitor, planner, node_prefix=node_prefix)
 
 
 def drill_spec(**upgrade_kw) -> ExperimentSpec:
@@ -170,7 +180,7 @@ class TestFailover:
         dep = small_deployment()
         vd = VirtualDisk(dep, "vd0", dep.compute_host_names()[0], 64 * 1024 * 1024)
         monitor = HealthMonitor(dep.sim, HealthPolicy())
-        orch = FailoverOrchestrator(dep, monitor)
+        orch = orchestrator(dep, monitor)
         orch.watch_storage()
         victim = sorted(dep.storage_servers)[0]
         before = len(dep.segment_table.segments_on(victim))
@@ -191,7 +201,7 @@ class TestFailover:
         dep = small_deployment(stack="solar")
         vd = VirtualDisk(dep, "vd0", dep.compute_host_names()[0], 64 * 1024 * 1024)
         monitor = HealthMonitor(dep.sim, HealthPolicy())
-        orch = FailoverOrchestrator(dep, monitor)
+        orch = orchestrator(dep, monitor)
         orch.watch_storage()
         victim = sorted(dep.storage_servers)[0]
         dep.sim.schedule_at(10 * MS, self._kill, dep, victim)
@@ -207,13 +217,14 @@ class TestFailover:
         dep.sim.schedule_at(600 * MS, late_io)
         dep.sim.run()
         assert orch.records and orch.records[0].node == victim
+        assert dep.segment_table.rebuilding == {}
         assert len(done) == 16
         assert all(io.trace is not None and io.trace.ok for io in done)
 
     def test_ignores_non_storage_incidents(self):
         dep = small_deployment()
         monitor = HealthMonitor(dep.sim, HealthPolicy())
-        orch = FailoverOrchestrator(dep, monitor)
+        orch = orchestrator(dep, monitor)
         monitor.declare(HEARTBEAT_LOSS, "not-a-storage-server", "test")
         dep.sim.run()
         assert orch.records == []
@@ -221,7 +232,7 @@ class TestFailover:
     def test_one_evacuation_per_node(self):
         dep = small_deployment()
         monitor = HealthMonitor(dep.sim, HealthPolicy())
-        orch = FailoverOrchestrator(dep, monitor)
+        orch = orchestrator(dep, monitor)
         victim = sorted(dep.storage_servers)[0]
         self._kill(dep, victim)
         monitor.declare(HEARTBEAT_LOSS, victim, "test")
@@ -579,8 +590,8 @@ class TestFailoverScoping:
         VirtualDisk(dep_a, "vd-a", dep_a.compute_host_names()[0], 32 * 1024 * 1024)
         VirtualDisk(dep_b, "vd-b", dep_b.compute_host_names()[0], 32 * 1024 * 1024)
         monitor = HealthMonitor(sim, HealthPolicy())
-        orch_a = FailoverOrchestrator(dep_a, monitor, node_prefix="a/")
-        orch_b = FailoverOrchestrator(dep_b, monitor, node_prefix="b/")
+        orch_a = orchestrator(dep_a, monitor, node_prefix="a/")
+        orch_b = orchestrator(dep_b, monitor, node_prefix="b/")
         orch_a.watch_storage()
         orch_b.watch_storage()
         victim = sorted(dep_a.storage_servers)[0]
@@ -597,7 +608,7 @@ class TestFailoverScoping:
         dep = small_deployment()
         VirtualDisk(dep, "vd0", dep.compute_host_names()[0], 64 * 1024 * 1024)
         monitor = HealthMonitor(dep.sim, HealthPolicy())
-        orch = FailoverOrchestrator(dep, monitor)
+        orch = orchestrator(dep, monitor)
         orch.watch_storage()
         victim = sorted(dep.storage_servers)[0]
         quarantined = []

@@ -31,8 +31,7 @@ def small_deployment(stack="luna", seed=7):
     return EbsDeployment(DeploymentSpec(stack=stack, seed=seed))
 
 
-def storm_fixture(replicas=3, swarm=False, policy=None, monitor=None,
-                  vd_mb=4, seed=7):
+def storm_fixture(replicas=3, swarm=False, policy=None, vd_mb=4, seed=7):
     """Deployment + VD + executor + planner, ready to kill a node."""
     dep = small_deployment(seed=seed)
     vd = VirtualDisk(
@@ -43,7 +42,8 @@ def storm_fixture(replicas=3, swarm=False, policy=None, monitor=None,
         dep, policy or StaticCapPolicy(rate_bps=20e9),
         swarm=swarm, chunk_bytes=128 * 1024,
     )
-    planner = RebuildPlanner(dep, executor, monitor=monitor)
+    monitor = HealthMonitor(dep.sim, HealthPolicy())
+    planner = RebuildPlanner(dep, executor, monitor)
     return dep, vd, executor, planner
 
 
@@ -184,8 +184,7 @@ class TestDestinationDeath:
 class TestUnrecoverableSegments:
     def test_zero_survivors_declares_typed_incident_not_hang(self):
         dep, vd, executor, planner = storm_fixture(replicas=2)
-        monitor = HealthMonitor(dep.sim, HealthPolicy())
-        planner.monitor = monitor
+        monitor = planner.monitor
         seg = dep.segment_table.lookup(vd.vd_id, 0)
         first, second = seg.replicas[0], seg.replicas[1]
         kill(dep, planner, first)
@@ -203,8 +202,7 @@ class TestUnrecoverableSegments:
 
     def test_rejoined_holder_unstalls_and_resolves_incident(self):
         dep, vd, executor, planner = storm_fixture(replicas=2)
-        monitor = HealthMonitor(dep.sim, HealthPolicy())
-        planner.monitor = monitor
+        monitor = planner.monitor
         seg = dep.segment_table.lookup(vd.vd_id, 0)
         first, second = seg.replicas[0], seg.replicas[1]
         scenarios = {}

@@ -247,7 +247,7 @@ class TestSegmentEvacuation:
         before = len(table.segments_on(victim))
         assert before > 0
         healthy = [s for s in self.SERVERS if s != victim]
-        changed = table.evacuate(victim, healthy)
+        changed = table.begin_rebuild(victim, healthy)[0]
         assert sum(changed.values()) == before
         assert table.segments_on(victim) == []
         # Placement invariants survive: host + 3 distinct replicas, none
@@ -259,7 +259,7 @@ class TestSegmentEvacuation:
 
     def test_lookup_still_covers_vd_after_evacuation(self):
         table = self._provision()
-        table.evacuate("bs1", ["bs0", "bs2", "bs3", "bs4"])
+        table.begin_rebuild("bs1", ["bs0", "bs2", "bs3", "bs4"])
         last = table.segments_of("vd0")[-1]
         assert table.lookup("vd0", 0) is table.segments_of("vd0")[0]
         assert table.lookup("vd0", last.end_lba - 1) is last
@@ -267,25 +267,25 @@ class TestSegmentEvacuation:
     def test_evacuation_is_deterministic(self):
         t1, t2 = self._provision(), self._provision()
         healthy = ["bs1", "bs2", "bs3", "bs4"]
-        t1.evacuate("bs0", healthy)
-        t2.evacuate("bs0", healthy)
+        t1.begin_rebuild("bs0", healthy)
+        t2.begin_rebuild("bs0", healthy)
         assert [
             (s.block_server, s.replicas) for s in t1.segments_of("vd0")
         ] == [(s.block_server, s.replicas) for s in t2.segments_of("vd0")]
 
     def test_idle_server_evacuation_is_noop(self):
         table = self._provision()
-        assert table.evacuate("not-hosting-anything", ["bs0"]) == {}
+        assert table.begin_rebuild("not-hosting-anything", ["bs0"])[0] == {}
 
     def test_empty_replacements_rejected(self):
         table = self._provision()
         with pytest.raises(ValueError):
-            table.evacuate("bs0", [])
+            table.begin_rebuild("bs0", [])
 
     def test_self_evacuation_rejected(self):
         table = self._provision()
         with pytest.raises(ValueError):
-            table.evacuate("bs0", ["bs0", "bs1"])
+            table.begin_rebuild("bs0", ["bs0", "bs1"])
 
     def test_no_available_replica_rejected(self):
         # Every replacement already replicates some segment of a 3-server
@@ -295,7 +295,7 @@ class TestSegmentEvacuation:
             "vd0", 2 * 1024 * 1024, ["bs0", "bs1", "bs2"], ["bs0", "bs1", "bs2"]
         )
         with pytest.raises(ValueError):
-            table.evacuate("bs0", ["bs1", "bs2"])
+            table.begin_rebuild("bs0", ["bs1", "bs2"])
 
     def test_double_evacuation_is_idempotent(self):
         # Overlapping incidents (heartbeat loss + I/O hangs on one node)
@@ -303,19 +303,19 @@ class TestSegmentEvacuation:
         # or double-count anything.
         table = self._provision()
         healthy = [s for s in self.SERVERS if s != "bs0"]
-        first = table.evacuate("bs0", healthy)
+        first = table.begin_rebuild("bs0", healthy)[0]
         snapshot = [
             (s.block_server, s.replicas) for s in table.segments_of("vd0")
         ]
         assert sum(first.values()) > 0
-        assert table.evacuate("bs0", healthy) == {}
+        assert table.begin_rebuild("bs0", healthy)[0] == {}
         assert [
             (s.block_server, s.replicas) for s in table.segments_of("vd0")
         ] == snapshot
 
     def test_evacuated_server_excluded_from_provision(self):
         table = self._provision()
-        table.evacuate("bs0", [s for s in self.SERVERS if s != "bs0"])
+        table.begin_rebuild("bs0", [s for s in self.SERVERS if s != "bs0"])
         assert table.evacuated == frozenset({"bs0"})
         segments = table.provision(
             "vd1", 8 * 1024 * 1024, self.SERVERS, self.SERVERS
@@ -326,16 +326,16 @@ class TestSegmentEvacuation:
 
     def test_evacuated_servers_excluded_as_replacements(self):
         table = self._provision()
-        table.evacuate("bs0", [s for s in self.SERVERS if s != "bs0"])
+        table.begin_rebuild("bs0", [s for s in self.SERVERS if s != "bs0"])
         # bs0 sneaking into the replacement list must be ignored, not
         # receive segments back while still quarantined.
-        table.evacuate("bs1", ["bs0", "bs2", "bs3", "bs4"])
+        table.begin_rebuild("bs1", ["bs0", "bs2", "bs3", "bs4"])
         assert table.segments_on("bs0") == []
 
     def test_restore_lifts_quarantine(self):
         table = self._provision()
         healthy = [s for s in self.SERVERS if s != "bs0"]
-        table.evacuate("bs0", healthy)
+        table.begin_rebuild("bs0", healthy)
         table.restore("bs0")
         assert table.evacuated == frozenset()
         segments = table.provision(
@@ -343,7 +343,7 @@ class TestSegmentEvacuation:
         )
         assert all(seg.block_server == "bs0" for seg in segments)
         # A restored server that dies again evacuates normally.
-        assert sum(table.evacuate("bs0", healthy).values()) > 0
+        assert sum(table.begin_rebuild("bs0", healthy)[0].values()) > 0
 
 
 class TestQos:
