@@ -70,10 +70,10 @@ def run_block_size(block_bytes: int) -> dict:
     sim.run(until=DURATION_NS + 5 * MS)
 
     peak_queue = max(
-        ch.queue.peak_bytes for link in topo.links for ch in (link.ab, link.ba)
+        ch.peak_bytes for link in topo.links for ch in (link.ab, link.ba)
     )
     drops = sum(
-        ch.queue.dropped for link in topo.links for ch in (link.ab, link.ba)
+        ch.dropped for link in topo.links for ch in (link.ab, link.ba)
     )
     latencies.sort()
     return {

@@ -47,11 +47,11 @@ from repro.scenario import (
 from repro.sim import MS
 from repro.workloads import FioJob, FioSpec
 
-KERNEL_EVENTS = 1_565_743
-KERNEL_IOS = 18_115
+KERNEL_EVENTS = 1_106_310
+KERNEL_IOS = 18_127
 
-FLEET_DIGEST = "93b1810f99c9dba07995b62181ac6478704210e1a1ef6267801b062d0e626bd0"
-FLEET_EVENTS = 274_519
+FLEET_DIGEST = "92f23367aaecbf112097bf9723f94cf331d4fb28f18036e26895c2b944dd5ea4"
+FLEET_EVENTS = 170_499
 FLEET_IOS = 3_257
 FLEET_WORKERS = (1, 2)
 

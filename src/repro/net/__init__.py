@@ -14,7 +14,6 @@ from .failures import (
 )
 from .link import Channel, Link
 from .packet import FiveTuple, IntRecord, Packet
-from .queue import DropTailQueue
 from .switch import Switch
 from .topology import ClosTopology, PodSpec
 
@@ -22,7 +21,6 @@ __all__ = [
     "Packet",
     "IntRecord",
     "FiveTuple",
-    "DropTailQueue",
     "Channel",
     "Link",
     "Switch",

@@ -5,8 +5,12 @@ A :class:`Link` is a full-duplex cable built from two independent
 
 * store-and-forward serialization at the configured line rate;
 * fixed propagation delay;
-* a drop-tail egress queue (the *sender's* output buffer) that fills when
-  the line is busy.
+* a byte-budget drop-tail egress FIFO (the *sender's* output buffer)
+  that fills when the line is busy.  §3.1: the FN uses shallow-buffer
+  switches and accepts loss.
+
+A FIFO fixes each frame's serialization start and end when the frame is
+sent, so the one event a frame costs is its delivery.
 
 Receivers are any object with ``receive(packet, ingress)`` where ``ingress``
 is the channel the packet arrived on, and an ``ingress_delay_ns``: the
@@ -17,12 +21,12 @@ receiver is ready to act on the packet and a switch forwards at once.
 
 from __future__ import annotations
 
-from typing import Protocol
+from collections import deque
+from typing import Deque, List, Protocol
 
 from ..profiles import bytes_time_ns
 from ..sim.engine import Simulator
 from .packet import Packet
-from .queue import DropTailQueue
 
 #: Monotonic generation counter for link-state-derived caches (switch
 #: route candidates, endpoint live-uplink lists).  Bumped on every
@@ -41,7 +45,18 @@ class Receiver(Protocol):
 
 
 class Channel:
-    """One direction of a link: sender-side queue + wire."""
+    """One direction of a link: sender-side drop-tail FIFO + wire.
+
+    ``send`` fixes a frame's ``start = max(now, line free)`` and ``end =
+    start + wire`` and schedules its delivery.  Frames not yet finished
+    stay in a deque, from which the waiting bytes and tx counters are
+    settled when read.
+
+    Same-ns rule: at ``now``, a frame with ``end <= now`` has finished
+    (``tx_packets``/``tx_bytes``) and a frame with ``start <= now`` has
+    left the queue (:attr:`queue_bytes`: the capacity check and INT).
+    ``peak_bytes`` still counts a frame that starts exactly at ``now``.
+    """
 
     def __init__(
         self,
@@ -53,6 +68,8 @@ class Channel:
         propagation_ns: int,
         queue_capacity_bytes: int,
     ):
+        if queue_capacity_bytes <= 0:
+            raise ValueError(f"queue capacity must be positive: {queue_capacity_bytes}")
         self.sim = sim
         self.name = name
         self.src = src
@@ -62,11 +79,21 @@ class Channel:
         #: Wire exit to ``dst.receive``: propagation plus the receiver's
         #: ingress pipeline, one event for both.
         self._deliver_ns = propagation_ns + dst.ingress_delay_ns
-        self.queue = DropTailQueue(queue_capacity_bytes, name=f"{name}.q")
+        self.capacity_bytes = queue_capacity_bytes
+        self.enqueued = 0
+        self.dropped = 0
+        self.peak_bytes = 0
         self._up = True
-        self._transmitting = False
-        self.tx_packets = 0
-        self.tx_bytes = 0
+        self._free_ns = 0  # when the line finishes the last frame
+        #: Unfinished frames as ``[start, end, size, live]``.  ``live``
+        #: is cleared by a flush, and follows the up/down flips while
+        #: the frame is on the wire: at delivery it says whether the
+        #: channel was up when the frame's serialization ended.
+        self._frames: Deque[List[int]] = deque()
+        self._frame_bytes = 0
+        # Accepted, not flushed: less the unfinished frames, the tx counters.
+        self._sent_packets = 0
+        self._sent_bytes = 0
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -76,60 +103,94 @@ class Channel:
         the sender has no signal other than missing ACKs, matching how a
         real fabric fails (§3.3).
         """
-        if not self.up:
+        if not self._up:
             return False
-        if not self.queue.offer(packet):
+        size = packet.size_bytes
+        queued = self._settle() + size
+        if queued > self.capacity_bytes:
+            self.dropped += 1
             return False
-        if not self._transmitting:
-            self._start_next()
+        self.enqueued += 1
+        now = self.sim.now
+        frames = self._frames
+        if frames and frames[0][0] == now:
+            queued += frames[0][2]  # starts now: still queued for the peak
+        if queued > self.peak_bytes:
+            self.peak_bytes = queued
+        start = self._free_ns if self._free_ns > now else now
+        end = self._free_ns = start + bytes_time_ns(size, self.gbps)
+        frame = [start, end, size, True]
+        frames.append(frame)
+        self._frame_bytes += size
+        self._sent_packets += 1
+        self._sent_bytes += size
+        self.sim.schedule_at_fire(end + self._deliver_ns, self._deliver, packet, frame)
         return True
 
-    def _start_next(self) -> None:
-        packet = self.queue.poll()
-        if packet is None:
-            self._transmitting = False
-            return
-        self._transmitting = True
-        wire_ns = bytes_time_ns(packet.size_bytes, self.gbps)
-        self.sim.schedule_fire(wire_ns, self._finish_serialize, packet)
-
-    def _finish_serialize(self, packet: Packet) -> None:
-        self.tx_packets += 1
-        self.tx_bytes += packet.size_bytes
-        if self.up:
-            self.sim.schedule_fire(self._deliver_ns, self._deliver, packet)
-        self._start_next()
-
-    def _deliver(self, packet: Packet) -> None:
-        if self.up:
+    def _deliver(self, packet: Packet, frame: List[int]) -> None:
+        if frame[3] and self._up:
             self.dst.receive(packet, self)
 
+    def _settle(self) -> int:
+        """Retire the frames finished by now; return the waiting bytes."""
+        now = self.sim.now
+        frames = self._frames
+        while frames and frames[0][1] <= now:
+            self._frame_bytes -= frames.popleft()[2]
+        if frames and frames[0][0] <= now:
+            return self._frame_bytes - frames[0][2]
+        return self._frame_bytes
+
     # ------------------------------------------------------------------
+    @property
+    def queue_bytes(self) -> int:
+        """Bytes waiting for the line (the frame on the wire excluded)."""
+        return self._settle()
+
+    @property
+    def tx_packets(self) -> int:
+        self._settle()
+        return self._sent_packets - len(self._frames)
+
+    @property
+    def tx_bytes(self) -> int:
+        self._settle()
+        return self._sent_bytes - self._frame_bytes
+
     @property
     def up(self) -> bool:
         return self._up
 
-    @up.setter
-    def up(self, value: bool) -> None:
-        # A property so that direct writes (fault injection shorthand in
-        # tests: ``channel.up = False``) keep the cache epoch coherent,
-        # same as :meth:`set_up`.
-        if value != self._up:
-            LINK_STATE_EPOCH[0] += 1
-        self._up = value
-
     def set_up(self, up: bool) -> None:
         """Administratively enable/disable the channel.
 
-        Going down flushes the queue (those frames are lost, as on a real
-        port failure).
+        Going down loses the waiting frames (counted in ``dropped``, as
+        on a real port failure).  The frame on the wire still holds the
+        line until its end, and is lost if the channel is down then.
         """
-        if self._up and not up:
-            self.queue.clear()
-        self.up = up
+        if up == self._up:
+            return
+        LINK_STATE_EPOCH[0] += 1
+        self._up = up
+        self._settle()
+        frames = self._frames
+        if not frames:
+            return
+        # Frames wait only behind the one on the wire, so after settling
+        # the head is on the wire and the rest are waiting.
+        frames[0][3] = up
+        if not up:
+            while len(frames) > 1:
+                lost = frames.pop()
+                lost[3] = False
+                self._frame_bytes -= lost[2]
+                self._sent_packets -= 1
+                self._sent_bytes -= lost[2]
+                self.dropped += 1
+            self._free_ns = frames[0][1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.up else "DOWN"
+        state = "up" if self._up else "DOWN"
         return f"<Channel {self.name} {self.gbps}G {state}>"
 
 

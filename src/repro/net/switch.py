@@ -144,7 +144,7 @@ class Switch:
             # HPCC-style telemetry (§4.8), only on packets whose receiver
             # reads it.
             packet.int_records.append(
-                IntRecord(self.name, self.sim.now, egress.queue.bytes,
+                IntRecord(self.name, self.sim.now, egress.queue_bytes,
                           egress.tx_bytes, egress.gbps)
             )
         self.forwarded += 1

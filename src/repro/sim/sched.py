@@ -13,10 +13,10 @@ Entries come in two shapes, distinguished by the third tuple slot:
 * ``(time, seq, None, fn, args)`` — an **anonymous** fire-and-forget
   entry (``schedule_fire`` / ``schedule_at_fire``): no Event object is
   allocated at all.  Most events in a packet simulation (CPU-work
-  completions, RPC hops, switch forwards, serialization finishes) are
-  never cancelled, so skipping the allocation removes the single
-  largest per-event constant.  Ordering is unaffected: ``seq`` is
-  globally unique, so tuple comparison never reaches the third slot.
+  completions, RPC hops, link deliveries) are never cancelled, so
+  skipping the allocation removes the single largest per-event
+  constant.  Ordering is unaffected: ``seq`` is globally unique, so
+  tuple comparison never reaches the third slot.
 
 The scheduler keeps **live bookkeeping** instead of scanning:
 

@@ -174,7 +174,7 @@ class TestFailover:
     def _kill(self, dep, name):
         host = dep.topology.hosts[name]
         for channel in host.uplinks:
-            channel.up = False
+            channel.set_up(False)
 
     def test_evacuates_dead_storage_server(self):
         dep = small_deployment()
@@ -446,7 +446,7 @@ class TestMigrationAbort:
         vd = VirtualDisk(dep, "vd0", dep.compute_host_names()[0], 32 * 1024 * 1024)
         for name in dep.storage_servers:
             for channel in dep.topology.hosts[name].uplinks:
-                channel.up = False
+                channel.set_up(False)
         vd.write(0, 4096, lambda io: None)
         assert vd.inflight
         return vd
@@ -491,7 +491,7 @@ class TestMigrationAbort:
         assert not vd.paused and not vd.detached
         for name in dep.storage_servers:
             for channel in dep.topology.hosts[name].uplinks:
-                channel.up = True
+                channel.set_up(True)
         done = []
         vd.write(4096, 4096, done.append)
         dep.sim.run()
@@ -581,7 +581,7 @@ class TestOverlappingIncidents:
 class TestFailoverScoping:
     def _kill(self, dep, name, up=False):
         for channel in dep.topology.hosts[name].uplinks:
-            channel.up = up
+            channel.set_up(up)
 
     def test_node_prefix_scopes_incidents_to_one_deployment(self):
         sim = Simulator(seed=3)
