@@ -1,8 +1,8 @@
 """Determinism pins: exact, machine-independent counts and digests.
 
-Every simulated result is a pure function of its spec and seed, so three
-reference runs must reproduce their committed values exactly, on any
-host.  The pins are the constants below; there is no tolerance, no
+Every simulated result is a pure function of its spec and seed, so the
+reference runs below must reproduce their committed values exactly, on
+any host.  The pins are the constants below; there is no tolerance, no
 timing and no environment knob.  A change that moves a pin edits the
 constant and says why in CHANGES.md.
 
@@ -15,6 +15,11 @@ constant and says why in CHANGES.md.
 * **Scenario** — ``incast-burst``, ``rebuild-storm`` and the MSR and
   Alibaba sample traces replayed on LUNA and SOLAR: every report digest,
   their combined digest, and every SLO gate passing.
+* **Replay** — the six ``tests/scenarios/*.json`` chaos replay reports,
+  three lab points (fio on LUNA under a spine blackhole with telemetry,
+  so I/Os hang; isolated writes on SOLAR; a reactive rebuild drill with
+  telemetry) and the ``monitor --json`` summary of the CI smoke run:
+  the canonical-JSON sha256 of each, first 16 hex digits.
 
 Events per completed I/O is printed beside each count: it is the
 simulator's machine-independent cost.  Simulator speed is measured by
@@ -29,14 +34,29 @@ Exit status 0 when every pin holds, 1 naming each drifted pin.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import glob
 import hashlib
+import io
+import json
 import os
 import sys
 
+from repro.__main__ import main as repro_main
+from repro.chaos.harness import replay_scenario
+from repro.chaos.scenario import ChaosScenario
 from repro.dist import reference_fleet, run_fleet
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
-from repro.lab.spec import canonical_json
+from repro.lab.runner import execute_point
+from repro.lab.spec import (
+    ExperimentSpec,
+    FaultSpec,
+    RebuildSpec,
+    TelemetrySpec,
+    WorkloadSpec,
+    canonical_json,
+)
 from repro.scenario import (
     SloGate,
     get_scenario,
@@ -65,10 +85,24 @@ SCENARIO_DIGESTS = {
     "alibaba@solar": "8d32dc60c4c1aa05",
 }
 
+REPLAY_DIGESTS = {
+    "chaos fpga-bitflip-burst": "a11f34d4a1d9add6",
+    "chaos migration-drain-fault": "8ed202c6a23944d5",
+    "chaos overlapping-node-faults": "fbe531b6819b83f7",
+    "chaos provision-on-dead-node": "eedd298e58f95d5f",
+    "chaos rebuild-source-loss": "abd203eeb30ca221",
+    "chaos silent-tor-hang": "1d95d1131b0a6db9",
+    "lab fio@luna": "c57d8925b326ac8b",
+    "lab isolated@solar": "23afc850a3e01e8c",
+    "lab rebuild-reactive": "759bb6e10950ca1f",
+    "monitor": "5150514b42ae0898",
+}
+
 CATALOG_SCENARIOS = ("incast-burst", "rebuild-storm")
-DATA_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests", "data"
+TESTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
 )
+DATA_DIR = os.path.join(TESTS_DIR, "data")
 IMPORTS = (("msr", "msr_sample.csv"), ("alibaba", "alibaba_sample.csv"))
 REPLAY_STACKS = ("luna", "solar")
 
@@ -117,6 +151,61 @@ def run_scenarios() -> dict:
     return reports
 
 
+#: The three pinned lab points: hangs under a fault with telemetry, the
+#: isolated mode, and a rebuild drill whose throttle reads the plane.
+LAB_POINTS = {
+    "lab fio@luna": ExperimentSpec(
+        name="pin-fio",
+        deployment=DeploymentSpec(stack="luna"),
+        workload=WorkloadSpec(iodepth=4, runtime_ns=20 * MS),
+        faults=(FaultSpec("switch_blackhole", "spine", 1.0,
+                          start_ns=5 * MS, end_ns=15 * MS),),
+        hang_threshold_ns=10 * MS,
+        telemetry=TelemetrySpec(interval_ns=2 * MS),
+        vd_size_mb=16,
+    ),
+    "lab isolated@solar": ExperimentSpec(
+        name="pin-isolated",
+        deployment=DeploymentSpec(stack="solar"),
+        workload=WorkloadSpec(mode="isolated", count=20),
+        vd_size_mb=16,
+    ),
+    "lab rebuild-reactive": ExperimentSpec(
+        name="pin-rebuild",
+        workload=WorkloadSpec(runtime_ns=20 * MS),
+        vd_size_mb=8,
+        telemetry=TelemetrySpec(),
+        rebuild=RebuildSpec(policy="reactive", node_index=1, fail_at_ns=5 * MS),
+    ),
+}
+
+#: The CI smoke step's ``monitor`` invocation.
+MONITOR_ARGS = (
+    "monitor", "--stack", "luna", "--duration-ms", "60", "--interval-ms", "10",
+    "--hang-ms", "20", "--iodepth", "4", "--block-sizes-kb", "4", "--seed", "5",
+    "--fault", "blackhole:spine:1.0@20", "--json",
+)
+
+
+def short_digest(obj) -> str:
+    return hashlib.sha256(canonical_json(obj)).hexdigest()[:16]
+
+
+def run_replays() -> dict:
+    """Digest of every pinned replay, by pin name."""
+    digests = {}
+    for path in sorted(glob.glob(os.path.join(TESTS_DIR, "scenarios", "*.json"))):
+        scenario = ChaosScenario.load(path)
+        digests[f"chaos {scenario.name}"] = short_digest(replay_scenario(scenario))
+    for name, spec in LAB_POINTS.items():
+        digests[name] = short_digest(execute_point(spec, spec.seeds[0]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        repro_main(list(MONITOR_ARGS))
+    digests["monitor"] = short_digest(json.loads(out.getvalue()))
+    return digests
+
+
 def main() -> int:
     drifted = []
 
@@ -150,6 +239,13 @@ def main() -> int:
     issued = sum(p["metrics"]["issued"] for r in reports.values() for p in r["points"])
     print(f"scenario  {len(reports)} reports, {issued:,} I/Os issued, "
           f"combined digest {combined}")
+
+    replays = run_replays()
+    for name, got in replays.items():
+        expect(f"replay {name} digest", got, REPLAY_DIGESTS.get(name))
+    for name in sorted(set(REPLAY_DIGESTS) - set(replays)):
+        drifted.append(f"replay {name}: not run")
+    print(f"replay    {len(replays)} digests")
 
     for line in drifted:
         print(f"DRIFT {line}", file=sys.stderr)

@@ -30,14 +30,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..agent.base import IoRequest
 from ..control.cluster import ControlledCluster, LogicalServer
-from ..control.failover import FailoverOrchestrator, FailoverPolicy
+from ..control.failover import FailoverOrchestrator
 from ..control.health import HealthMonitor, HealthPolicy, Incident
 from ..control.migration import MigrationReport
 from ..ebs.deployment import DeploymentSpec
 from ..faults.fpga_errors import BitFlipInjector
+from ..lab.spec import RebuildSpec
 from ..net.failures import FailureScenario, node_failure, switch_failure
 from ..profiles import BLOCK_SIZE
-from ..rebuild import RebuildExecutor, RebuildPlanner, make_policy
+from ..rebuild import RebuildPlanner, build_recovery
 from ..rebuild.throttle import REBUILD_POLICIES
 from ..sim.events import MS, US
 from ..telemetry.plane import TelemetryPlane
@@ -176,37 +177,26 @@ class ChaosHarness:
         self.orchestrators: Dict[str, FailoverOrchestrator] = {}
         self.planes: Dict[str, TelemetryPlane] = {}
         self.rebuild_planners: Dict[str, RebuildPlanner] = {}
+        recovery = RebuildSpec(
+            policy=config.rebuild_policy,
+            mode="swarm" if config.rebuild_swarm else "unicast",
+            rate_gbps=config.rebuild_rate_gbps,
+            chunk_kb=config.rebuild_chunk_kb,
+        )
         for stack in config.stacks:
             deployment = self.cluster.deployments[stack]
-            executor = RebuildExecutor(
-                deployment,
-                make_policy(
-                    config.rebuild_policy,
-                    rate_bps=config.rebuild_rate_gbps * 1e9,
-                ),
-                swarm=bool(config.rebuild_swarm),
-                chunk_bytes=config.rebuild_chunk_kb * 1024,
-            )
-            planner = RebuildPlanner(
-                deployment, executor, self.monitor, node_prefix=f"{stack}/"
-            )
-            self.rebuild_planners[stack] = planner
-            orchestrator = FailoverOrchestrator(
-                deployment,
-                self.monitor,
-                planner,
-                FailoverPolicy(reroute_delay_ns=config.reroute_delay_ns),
-                node_prefix=f"{stack}/",
-            )
-            orchestrator.watch_storage()
-            self.orchestrators[stack] = orchestrator
             plane = TelemetryPlane(
                 deployment,
                 interval_ns=config.scrape_interval_ns,
                 slo_ns=config.slo_ns,
                 health=self.monitor,
             )
-            plane.watch_rebuild(executor)
+            orchestrator = build_recovery(
+                deployment, self.monitor, recovery, config.reroute_delay_ns,
+                plane=plane, node_prefix=f"{stack}/",
+            )
+            self.orchestrators[stack] = orchestrator
+            self.rebuild_planners[stack] = orchestrator.planner
             plane.start()
             self.planes[stack] = plane
         self.monitor.start()

@@ -1,13 +1,13 @@
 """Deployment simulation: one fleet deployment as an independent point.
 
 Each deployment runs in its **own** :class:`~repro.sim.Simulator` — a
-:class:`DeploymentSim` bundles the simulator with its EBS deployment,
-foreground load, hang/health monitoring and the effects of the fleet's
-cross-deployment events.  Those effects are a function of the spec
-alone (an event lands on its destination at ``at_ns + crossing_ns``
-carrying its own fields), so both ends are scheduled when the
-deployment is built and the deployment then runs to the horizon
-without ever hearing from its peers.
+:class:`DeploymentSim` bundles a :class:`~repro.lab.rig.Rig` (the EBS
+deployment, hang/health monitoring, the VD and its fio load) with the
+effects of the fleet's cross-deployment events.  Those effects are a
+function of the spec alone (an event lands on its destination at
+``at_ns + crossing_ns`` carrying its own fields), so both ends are
+scheduled when the deployment is built and the deployment then runs to
+the horizon without ever hearing from its peers.
 
 :func:`run_deployment` is the point function: picklable arguments in,
 one JSON-ready artifact out, in whichever process runs it.
@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..ebs.deployment import DeploymentSpec, EbsDeployment
-from ..ebs.virtual_disk import VirtualDisk
-from ..faults.injection import IoHangMonitor
-from ..control.health import HealthMonitor
+from ..ebs.deployment import DeploymentSpec
+from ..lab.rig import Rig
+from ..lab.spec import ExperimentSpec, WorkloadSpec
 from ..net.failures import switch_blackhole
 from ..rebuild.planner import spillover_schedule
 from ..telemetry.sketch import QuantileSketch
-from ..workloads.fio import FioJob, FioSpec
 from .fleet import FleetEvent, FleetSpec
 
 #: Chunk size for injected cross-deployment streams (rebuild spillover
@@ -40,38 +38,26 @@ class DeploymentSim:
         self.fleet = fleet
         self.index = index
         dep = fleet.deployments[index]
-        self.deployment = EbsDeployment(
-            DeploymentSpec(
-                stack=dep.stack,
-                seed=dep.seed,
-                compute_racks=dep.compute_racks,
+        spec = ExperimentSpec(
+            deployment=DeploymentSpec(
+                stack=dep.stack, compute_racks=dep.compute_racks,
                 compute_hosts_per_rack=dep.compute_hosts_per_rack,
                 storage_racks=dep.storage_racks,
                 storage_hosts_per_rack=dep.storage_hosts_per_rack,
-            )
-        )
-        self.sim = self.deployment.sim
-        host = self.deployment.compute_host_names()[0]
-        self.vd = VirtualDisk(
-            self.deployment,
-            f"dist-vd{index}",
-            host,
-            dep.vd_size_mb * 1024 * 1024,
-        )
-        self.health = HealthMonitor(self.sim)
-        self.hangs = IoHangMonitor(self.sim, on_hang=self.health.report_hang)
-        self.job = FioJob(
-            self.sim,
-            self.vd,
-            FioSpec(
-                block_sizes=tuple(dep.block_sizes),
-                iodepth=dep.iodepth,
-                read_fraction=dep.read_fraction,
-                runtime_ns=dep.runtime_ns,
-                name=f"dist-d{index}",
             ),
-            on_issue=self.hangs.watch,
+            workload=WorkloadSpec(
+                block_sizes=tuple(dep.block_sizes), iodepth=dep.iodepth,
+                read_fraction=dep.read_fraction, runtime_ns=dep.runtime_ns,
+            ),
+            vd_size_mb=dep.vd_size_mb,
         )
+        rig = Rig(spec, dep.seed)
+        self.deployment = rig.deployment
+        self.sim = rig.sim
+        self.health = rig.health
+        self.hangs = rig.hangs
+        self.vd = rig.add_vd(f"dist-vd{index}")
+        self.job = rig.fio_job(self.vd, f"dist-d{index}")
         self.injected_issued = 0
         self.injected_completed = 0
         self.injected_failed = 0

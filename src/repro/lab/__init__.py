@@ -8,6 +8,9 @@ the way SimBricks-style orchestration layers do for modular simulators:
 * :mod:`repro.lab.spec` — hashable :class:`ExperimentSpec` (deployment x
   workload x fault schedule x seeds) with canonical JSON and per-point
   content digests;
+* :mod:`repro.lab.rig` — :class:`~repro.lab.rig.Rig`, the one place a
+  single-deployment run (deployment, monitors, telemetry plane, faults,
+  run bound, VDs, fio jobs, common artifact keys) is wired;
 * :mod:`repro.lab.runner` — process-pool fan-out, one simulation per
   worker, crash retry, proven byte-identical to serial execution;
 * :mod:`repro.lab.store` — content-addressed on-disk artifact cache so

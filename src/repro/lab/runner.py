@@ -27,17 +27,14 @@ skip simulation entirely, fresh results are persisted as canonical JSON.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..ebs import EbsDeployment, VirtualDisk
-from ..faults import IoHangMonitor, TimedFault
 from ..metrics.stats import LatencyStats
-from ..sim import MS
-from ..workloads import FioJob, FioSpec, IoRecord, replay
+from ..workloads import IoRecord, replay
 from .results import SweepResult
+from .rig import DRAIN_NS, Rig
 from .spec import ExperimentSpec, canonical_json
 from .store import ResultStore
 from .telemetry import (
@@ -49,9 +46,6 @@ from .telemetry import (
     ProgressFn,
     RunTelemetry,
 )
-
-#: Simulated-time slack past the workload horizon for in-flight I/Os.
-DRAIN_NS = 100 * MS
 
 #: Environment knob: default worker count for sweeps and benches.
 JOBS_ENV = "REPRO_JOBS"
@@ -100,8 +94,9 @@ def execute_point(
     hook `repro.scenario` records traces through.  Hooks are local
     closures, so observed points always run in the calling process
     (``run_sweep``'s worker path never passes one); drill points
-    (upgrade/rebuild) run their own fleet loop and refuse the hook
-    rather than silently never calling it.
+    (upgrade/rebuild) run their own loops and refuse the hook rather
+    than silently never calling it.  Plain points run on a
+    :class:`~repro.lab.rig.Rig`, which wires everything but the load.
     """
     if spec.upgrade is not None:
         if observe is not None:
@@ -119,44 +114,14 @@ def execute_point(
         from ..rebuild.drill import execute_rebuild_point
 
         return execute_rebuild_point(spec, seed)
-    dep = EbsDeployment(dataclasses.replace(spec.deployment, seed=seed))
-    host = dep.compute_host_names()[0]
-    vd = VirtualDisk(dep, "lab-vd0", host, spec.vd_size_mb * 1024 * 1024)
-    monitor = IoHangMonitor(dep.sim, threshold_ns=spec.hang_threshold_ns)
+    rig = Rig(spec, seed)
+    dep = rig.deployment
+    vd = rig.add_vd("lab-vd0")
     if observe is not None:
         observe(dep, vd)
-    plane = None
-    if spec.telemetry is not None:
-        # Lazy import: repro.telemetry is optional equipment for a point,
-        # and keeping it out of the worker's import path when unused keeps
-        # the plain artifact bytes untouched by the new subsystem.
-        from ..telemetry.plane import TelemetryPlane
-
-        plane = TelemetryPlane(
-            dep,
-            interval_ns=spec.telemetry.interval_ns,
-            slo_ns=spec.telemetry.slo_ns,
-            relative_accuracy=spec.telemetry.relative_accuracy,
-        )
-        plane.watch_vd(vd)
-        monitor.on_hang = plane.on_hang
-    for fault in spec.faults:
-        TimedFault(fault.build(), fault.start_ns, fault.end_ns).schedule(
-            dep.sim, dep.topology
-        )
+    rig.start()
 
     w = spec.workload
-    # Hang checks fire one threshold after issue; only pay for that window
-    # when a fault schedule can actually produce hangs.
-    until = spec.until_ns
-    if until is None:
-        until = w.horizon_ns + DRAIN_NS
-        if spec.faults:
-            until += spec.hang_threshold_ns
-
-    if plane is not None:
-        plane.start(until_ns=until)
-
     latency = LatencyStats("lab")
     issued = completed = failed = bytes_moved = 0
     #: Measurement window for rate metrics: issue horizon for closed-loop
@@ -165,21 +130,9 @@ def execute_point(
     duration_ns = 0
 
     if w.mode == "fio":
-        job = FioJob(
-            dep.sim,
-            vd,
-            FioSpec(
-                block_sizes=w.block_sizes,
-                iodepth=w.iodepth,
-                read_fraction=w.read_fraction,
-                runtime_ns=w.runtime_ns,
-                pattern=w.pattern,
-                name="lab",
-            ),
-            on_issue=monitor.watch,
-        )
+        job = rig.fio_job(vd, "lab")
         job.start()
-        dep.run(until_ns=until)
+        rig.run()
         issued, completed, failed = job.issues, job.completed, job.failed
         bytes_moved, latency = job.bytes_moved, job.latency
         duration_ns = job.result().duration_ns
@@ -204,51 +157,26 @@ def execute_point(
             offset = (i * w.size_bytes) % span if span > 0 else 0
             offset -= offset % 4096
             op = vd.write if w.kind == "write" else vd.read
-            monitor.watch(op(offset, w.size_bytes, finish))
+            rig.hangs.watch(op(offset, w.size_bytes, finish))
 
         for i in range(w.count):
             dep.sim.schedule(i * w.gap_ns, issue, i)
         issued = w.count
-        dep.run(until_ns=until)
+        rig.run()
     else:  # trace
         records = [IoRecord(*row) for row in w.records]
         result = replay(
             dep.sim, vd, records, time_scale=w.time_scale, size_scale=w.size_scale,
-            on_each=monitor.note_completion, on_issue=monitor.watch,
+            on_each=rig.hangs.note_completion, on_issue=rig.hangs.watch,
         )
-        dep.run(until_ns=until)
+        rig.run()
         issued, completed, failed = result.issued, result.completed, result.failed
         latency = result.latency
         bytes_moved = result.issued_bytes
         duration_ns = min(dep.sim.now, w.horizon_ns + DRAIN_NS)
 
-    ok_traces = dep.collector.completed()
-    component_ns = {
-        c: sum(t.components[c] for t in ok_traces) for c in ("sa", "fn", "bn", "ssd")
-    }
-    artifact = {
-        "schema": 1,
-        "digest": spec.point_digest(seed),
-        "name": spec.name,
-        "stack": spec.deployment.stack,
-        "seed": seed,
-        "workload_mode": w.mode,
-        "issued": issued,
-        "completed": completed,
-        "failed": failed,
-        "hangs": monitor.hangs,
-        "watched": monitor.watched,
-        "bytes_moved": bytes_moved,
-        "duration_ns": duration_ns,
-        "sim_ns": dep.sim.now,
-        "events": dep.sim.events_processed,
-        "latency_ns": list(latency.samples),
-        "component_ns": component_ns,
-        "component_count": len(ok_traces),
-    }
-    if plane is not None:
-        artifact["telemetry"] = plane.summary()
-    return artifact
+    return rig.artifact(w.mode, issued, completed, failed, bytes_moved,
+                        duration_ns, latency.samples)
 
 
 def _simulate_point(spec_json: str, seed: int) -> Dict[str, Any]:

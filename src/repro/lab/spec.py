@@ -350,11 +350,11 @@ class ExperimentSpec:
             raise ValueError(f"duplicate seeds: {self.seeds}")
         if self.vd_size_mb <= 0:
             raise ValueError(f"vd_size_mb must be positive, got {self.vd_size_mb}")
-        if self.upgrade is not None and self.telemetry is not None:
-            # Upgrade drills run their own fleet loop (repro.control.drill)
-            # which has no VD to watch; silently dropping the telemetry
-            # request would be worse than refusing it.
-            raise ValueError("upgrade drills do not support telemetry specs")
+        if self.upgrade is not None and (self.telemetry is not None or self.faults):
+            # Upgrade drills run their own fleet loop (repro.control.drill),
+            # not a rig: no VD to watch, no fault schedule.  Silently
+            # dropping either request would be worse than refusing it.
+            raise ValueError("upgrade drills do not support telemetry specs or fault schedules")
         if self.rebuild is not None:
             if self.upgrade is not None:
                 raise ValueError("a point runs either a rebuild or an upgrade drill")

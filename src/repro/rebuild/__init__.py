@@ -7,7 +7,8 @@ serve foreground I/O, under a pluggable throttle policy, optionally
 swarming from every surviving replica at once.
 
 * :mod:`~repro.rebuild.planner` — failure events to transfer schedules,
-  plus the started/completed/requeued/stalled ledger;
+  plus the started/completed/requeued/stalled ledger, and
+  :func:`build_recovery`, the one place a recovery stack is wired;
 * :mod:`~repro.rebuild.executor` — transfers as closed-loop chunk copies
   over :class:`~repro.storage.bn.BackendNetwork`;
 * :mod:`~repro.rebuild.throttle` — static-cap, deadline-paced and
@@ -17,7 +18,13 @@ swarming from every surviving replica at once.
 """
 
 from .executor import RebuildExecutor
-from .planner import REBUILD_STUCK, RebuildPlanner, RebuildRecord, RebuildTransfer
+from .planner import (
+    REBUILD_STUCK,
+    RebuildPlanner,
+    RebuildRecord,
+    RebuildTransfer,
+    build_recovery,
+)
 from .throttle import (
     REBUILD_POLICIES,
     DeadlinePolicy,
@@ -38,5 +45,6 @@ __all__ = [
     "RebuildTransfer",
     "StaticCapPolicy",
     "ThrottlePolicy",
+    "build_recovery",
     "make_policy",
 ]

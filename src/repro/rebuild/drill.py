@@ -3,8 +3,10 @@
 :func:`execute_rebuild_point` is the re-replication twin of
 :func:`repro.lab.runner.execute_point`: a pure function from
 (:class:`~repro.lab.spec.ExperimentSpec` with a ``rebuild``, seed) to a
-JSON-ready artifact.  The drill runs the spec's closed-loop fio workload
-as the *foreground*, kills one storage node at ``fail_at_ns``, lets the
+JSON-ready artifact.  The drill runs on the point's
+:class:`~repro.lab.rig.Rig` — so the spec's faults and telemetry apply as
+they do to any point — with the spec's closed-loop fio workload as the
+*foreground*.  It kills one storage node at ``fail_at_ns``, lets the
 failover orchestrator hand the failure to a
 :class:`~repro.rebuild.planner.RebuildPlanner`, and keeps simulating
 until the storm drains (bounded).  The artifact carries the standard
@@ -19,22 +21,15 @@ byte-identical across processes and across ``REPRO_JOBS`` values.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..control.failover import FailoverOrchestrator, FailoverPolicy
-from ..control.health import HEARTBEAT_LOSS, HealthMonitor, HealthPolicy
-from ..ebs import EbsDeployment, VirtualDisk
-from ..faults import IoHangMonitor
-from ..lab.runner import DRAIN_NS
-from ..lab.spec import SCHEMA_VERSION, ExperimentSpec
+from ..control.health import HEARTBEAT_LOSS, HealthPolicy
+from ..lab.rig import Rig
+from ..lab.spec import ExperimentSpec
 from ..net.failures import node_failure
 from ..sim import MS, SECOND
-from ..workloads import FioJob, FioSpec
-from .executor import RebuildExecutor
-from .planner import RebuildPlanner
-from .throttle import make_policy
+from .planner import build_recovery
 
 #: Detection cadence for the drill's health monitor: tight, so the
 #: recovery clock is dominated by data movement, not heartbeat misses.
@@ -60,57 +55,20 @@ def execute_rebuild_point(spec: ExperimentSpec, seed: int) -> Dict[str, Any]:
     rb = spec.rebuild
     if rb is None:
         raise ValueError(f"spec {spec.name!r} has no rebuild plan")
-    w = spec.workload
-
-    dep = EbsDeployment(dataclasses.replace(spec.deployment, seed=seed))
-    host = dep.compute_host_names()[0]
-    vd = VirtualDisk(
-        dep, "lab-vd0", host, spec.vd_size_mb * 1024 * 1024, replicas=rb.replicas
-    )
-    hang_monitor = IoHangMonitor(dep.sim, threshold_ns=spec.hang_threshold_ns)
-    health = HealthMonitor(
-        dep.sim,
-        HealthPolicy(
+    rig = Rig(
+        spec,
+        seed,
+        health_policy=HealthPolicy(
             heartbeat_interval_ns=_HEARTBEAT_NS, miss_threshold=_MISS_THRESHOLD
         ),
     )
-    policy = make_policy(
-        rb.policy,
-        rate_bps=rb.rate_gbps * 1e9,
-        deadline_ns=rb.deadline_ms * MS,
-        target_p99_ns=rb.target_p99_us * 1_000,
+    dep, health = rig.deployment, rig.health
+    vd = rig.add_vd("lab-vd0")
+    orchestrator = build_recovery(
+        dep, health, rb, reroute_delay_ns=_REROUTE_DELAY_NS, plane=rig.plane
     )
-    executor = RebuildExecutor(
-        dep,
-        policy,
-        swarm=(rb.mode == "swarm"),
-        chunk_bytes=rb.chunk_kb * 1024,
-        max_active_transfers=rb.max_active_transfers,
-    )
-    planner = RebuildPlanner(dep, executor, health)
-    orchestrator = FailoverOrchestrator(
-        dep,
-        health,
-        planner,
-        FailoverPolicy(reroute_delay_ns=_REROUTE_DELAY_NS),
-    )
-    orchestrator.watch_storage()
-
-    plane = None
-    if spec.telemetry is not None or rb.policy == "reactive":
-        # The reactive policy is *fed by* telemetry sketches — the plane is
-        # part of its control loop, not optional equipment.
-        from ..telemetry.plane import TelemetryPlane
-
-        t = spec.telemetry
-        plane = TelemetryPlane(
-            dep,
-            interval_ns=t.interval_ns if t is not None else 1 * MS,
-            slo_ns=t.slo_ns if t is not None else 500_000,
-            relative_accuracy=t.relative_accuracy if t is not None else 0.01,
-        )
-        plane.watch_vd(vd)
-        plane.watch_rebuild(executor)
+    planner = orchestrator.planner
+    executor = planner.executor
 
     # Timestamped foreground completions, for the during-storm p99 window.
     fg_samples: List[Tuple[int, int]] = []
@@ -127,29 +85,12 @@ def execute_rebuild_point(spec: ExperimentSpec, seed: int) -> Dict[str, Any]:
     scenario = node_failure(victim)
     dep.sim.schedule_at(rb.fail_at_ns, scenario.apply, dep.topology)
 
-    until = spec.until_ns
-    if until is None:
-        until = w.horizon_ns + DRAIN_NS + spec.hang_threshold_ns
-    bound = max(until, rb.fail_at_ns) + _STORM_BOUND_NS
+    bound = max(rig.until_ns, rb.fail_at_ns) + _STORM_BOUND_NS
     health.start(until_ns=bound)
-    if plane is not None:
-        plane.start(until_ns=bound)
-
-    job = FioJob(
-        dep.sim,
-        vd,
-        FioSpec(
-            block_sizes=w.block_sizes,
-            iodepth=w.iodepth,
-            read_fraction=w.read_fraction,
-            runtime_ns=w.runtime_ns,
-            pattern=w.pattern,
-            name="rebuild-fg",
-        ),
-        on_issue=hang_monitor.watch,
-    )
+    rig.start(until_ns=bound)
+    job = rig.fio_job(vd, "rebuild-fg")
     job.start()
-    dep.run(until_ns=until)
+    rig.run()
     # Let the storm drain past the workload horizon (bounded): the sweep
     # and scrape timers keep the heap non-empty, so run in fixed steps.
     while executor.busy and dep.sim.now < bound:
@@ -183,31 +124,12 @@ def execute_rebuild_point(spec: ExperimentSpec, seed: int) -> Dict[str, Any]:
     ]
     overall = [lat for (_t, lat) in fg_samples]
 
-    ok_traces = dep.collector.completed()
-    component_ns = {
-        c: sum(t.components[c] for t in ok_traces) for c in ("sa", "fn", "bn", "ssd")
-    }
-    artifact: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "digest": spec.point_digest(seed),
-        "name": spec.name,
-        "stack": spec.deployment.stack,
-        "seed": seed,
-        "workload_mode": "rebuild",
-        "issued": job.issues,
-        "completed": job.completed,
-        "failed": job.failed,
-        "hangs": hang_monitor.hangs,
-        "watched": hang_monitor.watched,
-        "bytes_moved": job.bytes_moved,
-        "duration_ns": job.result().duration_ns,
-        "sim_ns": dep.sim.now,
-        "events": dep.sim.events_processed,
-        "latency_ns": list(job.latency.samples),
-        "component_ns": component_ns,
-        "component_count": len(ok_traces),
+    return {
+        **rig.artifact("rebuild", job.issues, job.completed, job.failed,
+                       job.bytes_moved, job.result().duration_ns,
+                       job.latency.samples),
         "rebuild": {
-            "policy": policy.describe(),
+            "policy": executor.policy.describe(),
             "mode": rb.mode,
             "victim": victim,
             "chunk_kb": rb.chunk_kb,
@@ -237,6 +159,3 @@ def execute_rebuild_point(spec: ExperimentSpec, seed: int) -> Dict[str, Any]:
             },
         },
     }
-    if spec.telemetry is not None and plane is not None:
-        artifact["telemetry"] = plane.summary()
-    return artifact

@@ -15,6 +15,9 @@ orchestrator calls :meth:`on_node_recovered`, which retries stalled
 transfers against any live *data holder* — including a rejoined dead node,
 whose chunk store survived the outage (the same persistence the chaos
 durability invariant relies on).
+
+:func:`build_recovery` assembles a deployment's whole recovery stack
+(policy, executor, planner, orchestrator) from a ``RebuildSpec``.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..control.failover import FailoverOrchestrator, FailoverPolicy
 from ..profiles import BLOCK_SIZE, bytes_time_ns
+from ..sim.events import MS
 from ..storage.segment_table import RebuildItem
 from .executor import RebuildExecutor
+from .throttle import make_policy
 
 #: Incident kind for "this segment currently has no live source to copy
 #: from" — surfaced instead of letting the rebuild hang silently.
@@ -333,3 +339,37 @@ class RebuildPlanner:
         start = min(record.planned_ns for record in self.records)
         end = max(record.completed_ns for record in self.records)
         return end - start
+
+
+def build_recovery(deployment, health, spec, reroute_delay_ns: int,
+                   plane=None, node_prefix: str = "") -> FailoverOrchestrator:
+    """One deployment's recovery stack, from a ``RebuildSpec``: throttle
+    policy → executor → planner → an orchestrator whose storage servers
+    heartbeat into ``health``, plus the storm's gauges and p99 feed on
+    ``plane``.  Returns the orchestrator (``.planner.executor.policy``).
+    ``node_prefix`` tells apart deployments sharing one health monitor.
+    """
+    executor = RebuildExecutor(
+        deployment,
+        make_policy(
+            spec.policy,
+            rate_bps=spec.rate_gbps * 1e9,
+            deadline_ns=spec.deadline_ms * MS,
+            target_p99_ns=spec.target_p99_us * 1_000,
+        ),
+        swarm=(spec.mode == "swarm"),
+        chunk_bytes=spec.chunk_kb * 1024,
+        max_active_transfers=spec.max_active_transfers,
+    )
+    planner = RebuildPlanner(deployment, executor, health, node_prefix=node_prefix)
+    orchestrator = FailoverOrchestrator(
+        deployment,
+        health,
+        planner,
+        FailoverPolicy(reroute_delay_ns=reroute_delay_ns),
+        node_prefix=node_prefix,
+    )
+    orchestrator.watch_storage()
+    if plane is not None:
+        plane.watch_rebuild(executor)
+    return orchestrator

@@ -23,19 +23,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Optional
 
-from ..control.health import HealthMonitor
-from ..ebs import DeploymentSpec, EbsDeployment, STACKS, VirtualDisk
-from ..faults import IoHangMonitor, TimedFault
+from ..ebs import DeploymentSpec, STACKS
+from ..lab.rig import Rig
+from ..lab.spec import ExperimentSpec, TelemetrySpec, WorkloadSpec
 from ..sim import MS
-from ..workloads import FioJob, FioSpec
 from .plane import DEFAULT_SLO_NS, TelemetryPlane
 from .recorder import FlightRecorder
 from .registry import Snapshot
 
 #: Simulated slack past the fio deadline so in-flight I/Os and armed
-#: hang checks resolve inside the run (mirrors the lab runner).
+#: hang checks resolve inside the run (the rig's drain, shortened).
 DRAIN_NS = 20 * MS
 
 
@@ -110,7 +109,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     from ..lab.cli import parse_fault  # shared fault grammar
 
     try:
-        faults = [parse_fault(text) for text in args.fault]
+        faults = tuple(parse_fault(text) for text in args.fault)
         block_sizes = tuple(
             int(float(kb) * 1024) for kb in args.block_sizes_kb.split(",")
         )
@@ -118,53 +117,31 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             raise ValueError(f"need at least one VD, got {args.vds}")
         if args.duration_ms <= 0 or args.interval_ms <= 0:
             raise ValueError("duration and interval must be positive")
+        duration_ns = int(args.duration_ms * MS)
+        interval_ns = int(args.interval_ms * MS)
+        hang_ns = int(args.hang_ms * MS)
+        slo_ns = int(args.slo_us * 1_000)
+        spec = ExperimentSpec(
+            deployment=DeploymentSpec(stack=args.stack, compute_racks=1, compute_hosts_per_rack=2,
+                                      storage_racks=2, storage_hosts_per_rack=4),
+            workload=WorkloadSpec(block_sizes=block_sizes, iodepth=args.iodepth,
+                                  read_fraction=args.read_fraction, runtime_ns=duration_ns),
+            faults=faults, vd_size_mb=args.vd_size_mb, hang_threshold_ns=hang_ns,
+            telemetry=TelemetrySpec(interval_ns, slo_ns, args.accuracy),
+        )
     except ValueError as exc:
         print(f"monitor: {exc}", file=sys.stderr)
         return 2
 
-    duration_ns = int(args.duration_ms * MS)
-    interval_ns = int(args.interval_ms * MS)
-    hang_ns = int(args.hang_ms * MS)
-    slo_ns = int(args.slo_us * 1_000)
-
-    dep = EbsDeployment(DeploymentSpec(
-        stack=args.stack, seed=args.seed,
-        compute_racks=1, compute_hosts_per_rack=2,
-        storage_racks=2, storage_hosts_per_rack=4,
-    ))
-    health = HealthMonitor(dep.sim)
     recorder: Optional[FlightRecorder] = (
         FlightRecorder(path=args.jsonl) if args.jsonl else None
     )
-    plane = TelemetryPlane(
-        dep, interval_ns=interval_ns, slo_ns=slo_ns,
-        relative_accuracy=args.accuracy, health=health, recorder=recorder,
-    )
-    hosts = dep.compute_host_names()
-    vds: List[VirtualDisk] = []
-    for i in range(args.vds):
-        vd = VirtualDisk(
-            dep, f"vd{i}", hosts[i % len(hosts)], args.vd_size_mb * 1024 * 1024
-        )
-        plane.watch_vd(vd)
-        vds.append(vd)
-    hang_monitor = IoHangMonitor(dep.sim, threshold_ns=hang_ns, on_hang=plane.on_hang)
-    for fault in faults:
-        TimedFault(fault.build(), fault.start_ns, fault.end_ns).schedule(
-            dep.sim, dep.topology
-        )
-    jobs = [
-        FioJob(
-            dep.sim, vd,
-            FioSpec(block_sizes=block_sizes, iodepth=args.iodepth,
-                    read_fraction=args.read_fraction, runtime_ns=duration_ns,
-                    name=f"monitor{i}"),
-            on_issue=hang_monitor.watch,
-        )
-        for i, vd in enumerate(vds)
-    ]
+    rig = Rig(spec, args.seed, drain_ns=DRAIN_NS, recorder=recorder)
+    plane, health = rig.plane, rig.health
+    hosts = rig.deployment.compute_host_names()
+    vds = [rig.add_vd(f"vd{i}", hosts[i % len(hosts)]) for i in range(args.vds)]
+    jobs = [rig.fio_job(vd, f"monitor{i}") for i, vd in enumerate(vds)]
 
-    until_ns = duration_ns + DRAIN_NS + (hang_ns if faults else 0)
     if not (args.quiet or args.as_json):
         print(f"{args.stack}: {len(vds)} VDs, scrape every "
               f"{interval_ns / MS:g}ms, SLO {slo_ns / 1000:g}us, "
@@ -175,8 +152,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         )
     for job in jobs:
         job.start()
-    plane.start(until_ns=until_ns)
-    dep.run(until_ns=until_ns)
+    rig.start()
+    rig.run()
     if recorder is not None:
         recorder.close()
 
@@ -185,10 +162,10 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         "stack": args.stack,
         "seed": args.seed,
         "duration_ns": duration_ns,
-        "sim_ns": dep.sim.now,
+        "sim_ns": rig.sim.now,
         "vds": len(vds),
         "issued": sum(job.issues for job in jobs),
-        "watched": hang_monitor.watched,
+        "watched": rig.hangs.watched,
         "faults": len(faults),
         "incidents": len(health.incidents),
         "telemetry": plane.summary(),

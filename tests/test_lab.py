@@ -298,6 +298,67 @@ class TestWorkloadModes:
         assert artifact["hangs"] > 0
 
 
+class TestArtifactSchema:
+    @pytest.mark.parametrize("workload", [
+        WorkloadSpec(mode="fio", iodepth=4, runtime_ns=1 * MS),
+        WorkloadSpec(mode="isolated", count=2),
+        WorkloadSpec(mode="trace", records=((0, "write", 0, 4096),)),
+    ], ids=["fio", "isolated", "trace"])
+    def test_plain_points_write_the_schema_version(self, workload):
+        from repro.lab.spec import SCHEMA_VERSION
+
+        spec = small_spec(workload=workload, seeds=(0,))
+        assert execute_point(spec, 0)["schema"] == SCHEMA_VERSION
+
+
+class TestRig:
+    """Where a hung I/O goes: through the plane when the spec has one,
+    straight to the health monitor otherwise — one incident either way."""
+
+    @staticmethod
+    def _hung_rig(telemetry):
+        from repro.control.health import IO_HANG
+        from repro.lab.rig import Rig
+
+        spec = ExperimentSpec(
+            deployment=DeploymentSpec(
+                stack="luna",
+                compute_racks=1, compute_hosts_per_rack=1,
+                storage_racks=2, storage_hosts_per_rack=4,
+            ),
+            workload=WorkloadSpec(mode="fio", iodepth=4, runtime_ns=10 * MS),
+            faults=(FaultSpec(kind="switch_blackhole", target="spine",
+                              param=1.0, start_ns=2 * MS),),
+            hang_threshold_ns=5 * MS,
+            telemetry=telemetry,
+            vd_size_mb=16,
+        )
+        rig = Rig(spec, 0)
+        rig.fio_job(rig.add_vd("rig-vd"), "rig").start()
+        rig.start()
+        rig.run()
+        assert rig.hangs.hangs > 0
+        assert len(rig.health.incidents_of(IO_HANG)) == rig.hangs.hangs
+        return rig
+
+    def test_without_a_plane_hangs_reach_health(self):
+        assert self._hung_rig(None).plane is None
+
+    def test_with_a_plane_hangs_pass_through_it(self):
+        from repro.lab.spec import TelemetrySpec
+
+        rig = self._hung_rig(TelemetrySpec())
+        assert rig.plane.summary()["hangs"] == rig.hangs.hangs
+
+    def test_run_bound_pays_the_hang_window_only_under_faults(self):
+        from repro.lab.rig import DRAIN_NS, Rig
+
+        spec = small_spec(seeds=(0,))
+        assert Rig(spec, 0).until_ns == 2 * MS + DRAIN_NS
+        faulted = small_spec(seeds=(0,), faults=(FaultSpec(kind="random_drop"),))
+        assert Rig(faulted, 0).until_ns == 2 * MS + DRAIN_NS + faulted.hang_threshold_ns
+
+
 class TestAggregation:
     def test_pooled_latency_and_ci(self):
         spec = small_spec()

@@ -387,6 +387,46 @@ class TestRebuildSpec:
         assert art["rebuild"]["ledger"]["started"] > 0
 
 
+class TestDrillOnTheRig:
+    """A rebuild point honours the spec's faults and telemetry like any
+    other point: a spine blackhole moves the artifact, and the plane
+    counts every hang the hang monitor does."""
+
+    @staticmethod
+    def _spec(faults=()):
+        from repro.lab.spec import TelemetrySpec
+
+        return ExperimentSpec(
+            name="t-drill-faults",
+            deployment=DeploymentSpec(stack="luna"),
+            seeds=(0,),
+            vd_size_mb=8,
+            hang_threshold_ns=20 * MS,
+            telemetry=TelemetrySpec(),
+            rebuild=RebuildSpec(),
+            faults=faults,
+        )
+
+    @pytest.fixture(scope="class")
+    def artifacts(self):
+        from repro.lab.spec import FaultSpec
+
+        blackhole = FaultSpec("switch_blackhole", "spine", 1.0,
+                              start_ns=5 * MS, end_ns=15 * MS)
+        return (execute_rebuild_point(self._spec(), 0),
+                execute_rebuild_point(self._spec(faults=(blackhole,)), 0))
+
+    def test_spec_faults_are_scheduled(self, artifacts):
+        plain, faulted = (dict(a, digest=None) for a in artifacts)
+        assert faulted != plain
+        assert faulted["hangs"] > plain["hangs"]
+
+    def test_telemetry_counts_every_hang(self, artifacts):
+        for artifact in artifacts:
+            assert artifact["hangs"] > 0
+            assert artifact["telemetry"]["hangs"] == artifact["hangs"]
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------

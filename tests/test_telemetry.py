@@ -495,6 +495,14 @@ class TestLabTelemetry:
         with pytest.raises(ValueError):
             ExperimentSpec(upgrade=UpgradeSpec(), telemetry=TelemetrySpec())
 
+    def test_upgrade_drills_reject_faults(self):
+        from repro.lab.spec import FaultSpec, UpgradeSpec
+
+        with pytest.raises(ValueError, match="fault schedules"):
+            ExperimentSpec(
+                upgrade=UpgradeSpec(), faults=(FaultSpec(kind="random_drop"),)
+            )
+
     def test_artifact_grows_consistent_telemetry_section(self):
         from repro.lab.runner import execute_point
 
@@ -562,3 +570,6 @@ class TestMonitorCli:
 
         assert main(["monitor", "--vds", "0"]) == 2
         assert main(["monitor", "--fault", "nonsense"]) == 2
+        assert main(["monitor", "--slo-us", "0"]) == 2
+        assert main(["monitor", "--accuracy", "1"]) == 2
+        assert main(["monitor", "--vd-size-mb", "0"]) == 2
