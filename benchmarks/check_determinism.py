@@ -18,8 +18,12 @@ constant and says why in CHANGES.md.
 * **Replay** — the six ``tests/scenarios/*.json`` chaos replay reports,
   three lab points (fio on LUNA under a spine blackhole with telemetry,
   so I/Os hang; isolated writes on SOLAR; a reactive rebuild drill with
-  telemetry) and the ``monitor --json`` summary of the CI smoke run:
-  the canonical-JSON sha256 of each, first 16 hex digits.
+  telemetry), the CI smoke's rolling-upgrade point (``kernel→luna``,
+  seed 42, 4 servers, 2 waves, 32 MB VDs) and the ``monitor --json``
+  summary of the CI smoke run: the canonical-JSON sha256 of each, first
+  16 hex digits.
+* **CLI** — the stdout (and exit status) of the quick ``compare``,
+  ``latency`` and ``failover`` subcommands, hashed the same way.
 
 Events per completed I/O is printed beside each count: it is the
 simulator's machine-independent cost.  Simulator speed is measured by
@@ -46,6 +50,7 @@ import sys
 from repro.__main__ import main as repro_main
 from repro.chaos.harness import replay_scenario
 from repro.chaos.scenario import ChaosScenario
+from repro.control.cluster import FLEET_DEPLOYMENT
 from repro.dist import reference_fleet, run_fleet
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
 from repro.lab.runner import execute_point
@@ -54,6 +59,7 @@ from repro.lab.spec import (
     FaultSpec,
     RebuildSpec,
     TelemetrySpec,
+    UpgradeSpec,
     WorkloadSpec,
     canonical_json,
 )
@@ -96,6 +102,14 @@ REPLAY_DIGESTS = {
     "lab isolated@solar": "23afc850a3e01e8c",
     "lab rebuild-reactive": "759bb6e10950ca1f",
     "monitor": "5150514b42ae0898",
+    "lab upgrade kernel->luna": "26658519a5a49722",
+}
+
+#: The quick subcommands whose stdout and exit status are pinned.
+CLI_DIGESTS = {
+    "compare --size-kb 4": "b147bf5699352f45",
+    "latency --stack solar --kind write --size-kb 16": "cdda138be69093f2",
+    "failover --stack luna --until-ms 1200": "9bccf532f6dd6f8a",
 }
 
 CATALOG_SCENARIOS = ("incast-burst", "rebuild-storm")
@@ -151,8 +165,9 @@ def run_scenarios() -> dict:
     return reports
 
 
-#: The three pinned lab points: hangs under a fault with telemetry, the
-#: isolated mode, and a rebuild drill whose throttle reads the plane.
+#: The pinned lab points: hangs under a fault with telemetry, the
+#: isolated mode, a rebuild drill whose throttle reads the plane, and the
+#: CI smoke's rolling-upgrade drill.
 LAB_POINTS = {
     "lab fio@luna": ExperimentSpec(
         name="pin-fio",
@@ -177,6 +192,13 @@ LAB_POINTS = {
         telemetry=TelemetrySpec(),
         rebuild=RebuildSpec(policy="reactive", node_index=1, fail_at_ns=5 * MS),
     ),
+    "lab upgrade kernel->luna": ExperimentSpec(
+        name="upgrade/kernel-to-luna",
+        deployment=dataclasses.replace(FLEET_DEPLOYMENT, stack="luna"),
+        upgrade=UpgradeSpec(from_stack="kernel", to_stack="luna", servers=4, waves=2),
+        seeds=(42,),
+        vd_size_mb=32,
+    ),
 }
 
 #: The CI smoke step's ``monitor`` invocation.
@@ -191,6 +213,14 @@ def short_digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj)).hexdigest()[:16]
 
 
+def run_cli(argv) -> dict:
+    """Exit status and stdout of one in-process ``python -m repro`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = repro_main(list(argv))
+    return {"exit": status, "stdout": out.getvalue()}
+
+
 def run_replays() -> dict:
     """Digest of every pinned replay, by pin name."""
     digests = {}
@@ -199,10 +229,7 @@ def run_replays() -> dict:
         digests[f"chaos {scenario.name}"] = short_digest(replay_scenario(scenario))
     for name, spec in LAB_POINTS.items():
         digests[name] = short_digest(execute_point(spec, spec.seeds[0]))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        repro_main(list(MONITOR_ARGS))
-    digests["monitor"] = short_digest(json.loads(out.getvalue()))
+    digests["monitor"] = short_digest(json.loads(run_cli(MONITOR_ARGS)["stdout"]))
     return digests
 
 
@@ -246,6 +273,10 @@ def main() -> int:
     for name in sorted(set(REPLAY_DIGESTS) - set(replays)):
         drifted.append(f"replay {name}: not run")
     print(f"replay    {len(replays)} digests")
+
+    for command, pinned in CLI_DIGESTS.items():
+        expect(f"cli {command}", short_digest(run_cli(command.split())), pinned)
+    print(f"cli       {len(CLI_DIGESTS)} digests")
 
     for line in drifted:
         print(f"DRIFT {line}", file=sys.stderr)

@@ -10,10 +10,11 @@ Usage::
     python -m repro upgrade --from kernel --to luna --seed 42
     python -m repro monitor --stack luna --fault blackhole:spine:1.0@30
 
-``failover`` and ``upgrade`` exit nonzero (2) when I/O hangs are detected,
-so scripts can gate on them.  ``sweep`` and ``upgrade`` fan points across
-worker processes and cache results content-addressed under
-``benchmarks/out/lab``.
+``latency``, ``compare`` and ``failover`` each run one
+:class:`~repro.lab.rig.Rig` with a 512 MB VD.  ``failover`` and
+``upgrade`` exit nonzero (2) when I/O hangs are detected, so scripts can
+gate on them.  ``sweep`` and ``upgrade`` fan points across worker
+processes and cache results content-addressed under ``benchmarks/out/lab``.
 """
 
 from __future__ import annotations
@@ -24,30 +25,26 @@ import sys
 from .chaos.cli import add_chaos_parser, cmd_chaos
 from .control.cli import add_upgrade_parser, cmd_upgrade
 from .dist.cli import add_dist_parser, cmd_dist
-from .ebs import DeploymentSpec, EbsDeployment, STACKS, VirtualDisk
-from .faults import IoHangMonitor
+from .ebs import DeploymentSpec, STACKS
 from .lab.cli import add_sweep_parser, cmd_sweep
-from .net.failures import switch_blackhole
+from .lab.rig import Rig
+from .lab.spec import ExperimentSpec, FaultSpec
 from .rebuild.cli import add_rebuild_parser, cmd_rebuild
 from .scenario.cli import add_scenario_parser, cmd_scenario
-from .sim import MS, SECOND
+from .sim import MS
 from .telemetry.cli import add_monitor_parser, cmd_monitor
 
-#: ``failover`` watches each I/O for this long before calling it hung
-#: (Table 2's "unanswered >= 1s" yardstick).
-HANG_THRESHOLD_NS = 1 * SECOND
+
+def _spec(stack: str, seed: int, **fields) -> ExperimentSpec:
+    """A quick command's point: ``stack`` at ``seed`` with a 512 MB VD."""
+    return ExperimentSpec(deployment=DeploymentSpec(stack=stack), seeds=(seed,),
+                          vd_size_mb=512, **fields)
 
 
-def _deploy(stack: str, seed: int) -> tuple:
-    dep = EbsDeployment(DeploymentSpec(stack=stack, seed=seed))
-    vd = VirtualDisk(dep, "cli-vd", dep.compute_host_names()[0], 512 * 1024 * 1024)
-    return dep, vd
-
-
-def _one_io(dep, vd, kind: str, size_bytes: int):
+def _one_io(rig: Rig, vd, kind: str, size_bytes: int):
     done = []
     getattr(vd, kind)(0, size_bytes, done.append)
-    dep.run()
+    rig.deployment.run()
     return done[0].trace
 
 
@@ -62,8 +59,8 @@ def cmd_info(_args) -> int:
 
 
 def cmd_latency(args) -> int:
-    dep, vd = _deploy(args.stack, args.seed)
-    trace = _one_io(dep, vd, args.kind, args.size_kb * 1024)
+    rig = Rig(_spec(args.stack, args.seed), args.seed)
+    trace = _one_io(rig, rig.add_vd("cli-vd"), args.kind, args.size_kb * 1024)
     print(f"{args.stack} {args.kind} {args.size_kb}KB: "
           f"{trace.total_ns / 1000:.1f}us total")
     for component, ns in trace.components.items():
@@ -74,48 +71,51 @@ def cmd_latency(args) -> int:
 def cmd_compare(args) -> int:
     print(f"{'stack':12s} {'write (us)':>11s} {'read (us)':>10s}")
     for stack in STACKS:
-        dep, vd = _deploy(stack, args.seed)
-        w = _one_io(dep, vd, "write", args.size_kb * 1024)
-        r = _one_io(dep, vd, "read", args.size_kb * 1024)
+        rig = Rig(_spec(stack, args.seed), args.seed)
+        vd = rig.add_vd("cli-vd")
+        w = _one_io(rig, vd, "write", args.size_kb * 1024)
+        r = _one_io(rig, vd, "read", args.size_kb * 1024)
         print(f"{stack:12s} {w.total_ns / 1000:11.1f} {r.total_ns / 1000:10.1f}")
     return 0
 
 
 def cmd_failover(args) -> int:
     until_ns = int(args.until_ms * MS)
+    # Half the spine blackholed from 10 ms on; the spec's default 1 s hang
+    # threshold is Table 2's "unanswered >= 1s".
+    spec = _spec(args.stack, args.seed, until_ns=until_ns, faults=(
+        FaultSpec("switch_blackhole", "spine", 0.5, 0, start_ns=10 * MS),))
     # Stop issuing one hang threshold before the window closes, so every
     # watched I/O's hang check still fires inside the run.  The old
     # ``until_ns // 4`` heuristic silently watched zero I/Os on short
     # windows, reporting a vacuous "0 hung".
-    issue_until_ns = until_ns - HANG_THRESHOLD_NS
+    issue_until_ns = until_ns - spec.hang_threshold_ns
     if issue_until_ns < 0:
         print(
             f"failover: --until-ms {args.until_ms:g} is shorter than the "
-            f"{HANG_THRESHOLD_NS // MS}ms hang threshold; no I/O could be "
+            f"{spec.hang_threshold_ns // MS}ms hang threshold; no I/O could be "
             "watched to completion. Use a longer window.",
             file=sys.stderr,
         )
         return 2
-    dep, vd = _deploy(args.stack, args.seed)
-    monitor = IoHangMonitor(dep.sim, threshold_ns=HANG_THRESHOLD_NS)
-    scenario = switch_blackhole("spine", 0.5)
-    dep.sim.schedule_at(10 * MS, scenario.apply, dep.topology)
+    rig = Rig(spec, args.seed)
+    vd = rig.add_vd("cli-vd")
     count = [0]
 
     def issue() -> None:
-        if dep.sim.now > issue_until_ns:
+        if rig.sim.now > issue_until_ns:
             return
         io = vd.write((count[0] % 1000) * 4096, 4096, lambda io: None)
-        monitor.watch(io)
+        rig.hangs.watch(io)
         count[0] += 1
-        dep.sim.schedule(2 * MS, issue)
+        rig.sim.schedule(2 * MS, issue)
 
     issue()
-    dep.run(until_ns=until_ns)
-    print(f"{args.stack}: {monitor.watched} I/Os under a 50% spine blackhole, "
-          f"{monitor.hangs} hung >= 1s")
+    rig.run()
+    print(f"{args.stack}: {rig.hangs.watched} I/Os under a 50% spine blackhole, "
+          f"{rig.hangs.hangs} hung >= 1s")
     # Scriptable contract: nonzero when the stack hung I/Os.
-    return 2 if monitor.hangs else 0
+    return 2 if rig.hangs.hangs else 0
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,12 @@
 """The live chaos harness: one controlled cluster, fault levers, books.
 
 :class:`ChaosHarness` stands up the full operational stack on one
-simulator — a multi-stack :class:`~repro.control.cluster.ControlledCluster`,
-a shared :class:`~repro.control.health.HealthMonitor`, per-stack
+simulator — a multi-stack :class:`~repro.control.cluster.ControlledCluster`
+whose per-stack rigs bring a shared
+:class:`~repro.control.health.HealthMonitor` and one
+:class:`~repro.telemetry.plane.TelemetryPlane` each, per-stack
 :class:`~repro.control.failover.FailoverOrchestrator`\\ s handing node
-deaths to :class:`~repro.rebuild.planner.RebuildPlanner`\\ s,
-:class:`~repro.telemetry.plane.TelemetryPlane`\\ s, and a
+deaths to :class:`~repro.rebuild.planner.RebuildPlanner`\\ s, and a
 :class:`~repro.faults.fpga_errors.BitFlipInjector` on every SOLAR
 offload — then exposes a small vocabulary of *actions* (write, read,
 fail/heal a node or ToR, kill a rebuild source, flip FPGA bits, start a
@@ -24,6 +25,7 @@ checking.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -31,19 +33,20 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..agent.base import IoRequest
 from ..control.cluster import ControlledCluster, LogicalServer
 from ..control.failover import FailoverOrchestrator
-from ..control.health import HealthMonitor, HealthPolicy, Incident
+from ..control.health import HealthPolicy, Incident
 from ..control.migration import MigrationReport
 from ..ebs.deployment import DeploymentSpec
 from ..faults.fpga_errors import BitFlipInjector
-from ..lab.spec import RebuildSpec
+from ..lab.spec import ExperimentSpec, RebuildSpec, TelemetrySpec
 from ..net.failures import FailureScenario, node_failure, switch_failure
 from ..profiles import BLOCK_SIZE
 from ..rebuild import RebuildPlanner, build_recovery
 from ..rebuild.throttle import REBUILD_POLICIES
 from ..sim.events import MS, US
-from ..telemetry.plane import TelemetryPlane
 from .invariants import InvariantSuite, InvariantViolation
 from .scenario import ChaosAction, ChaosScenario
+
+MIB = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,11 @@ class ChaosConfig:
     def __post_init__(self) -> None:
         if len(self.stacks) < 2:
             raise ValueError("chaos needs >= 2 stacks to migrate between")
+        if self.io_size_bytes != BLOCK_SIZE:
+            # Chaos I/Os are one block each; any other size would be ignored.
+            raise ValueError(f"io_size_bytes must be {BLOCK_SIZE}, got {self.io_size_bytes}")
+        if self.vd_size_bytes <= 0 or self.vd_size_bytes % MIB:
+            raise ValueError(f"vd_size_bytes must be whole MiB, got {self.vd_size_bytes}")
         if self.rebuild_policy not in REBUILD_POLICIES:
             raise ValueError(
                 f"rebuild_policy {self.rebuild_policy!r} must be one of "
@@ -146,36 +154,36 @@ class ChaosHarness:
 
     def __init__(self, config: ChaosConfig):
         self.config = config
-        base = DeploymentSpec(
-            compute_racks=config.compute_racks,
-            compute_hosts_per_rack=config.compute_hosts_per_rack,
-            storage_racks=config.storage_racks,
-            storage_hosts_per_rack=config.storage_hosts_per_rack,
+        spec = ExperimentSpec(
+            deployment=DeploymentSpec(
+                compute_racks=config.compute_racks,
+                compute_hosts_per_rack=config.compute_hosts_per_rack,
+                storage_racks=config.storage_racks,
+                storage_hosts_per_rack=config.storage_hosts_per_rack,
+            ),
+            seeds=(config.seed,),
+            vd_size_mb=config.vd_size_bytes // MIB,
+            hang_threshold_ns=config.hang_threshold_ns,
+            telemetry=TelemetrySpec(config.scrape_interval_ns, config.slo_ns),
         )
         self.cluster = ControlledCluster(
-            list(config.stacks),
+            spec,
+            config.stacks,
             config.servers,
             seed=config.seed,
-            deployment=base,
-            vd_size_bytes=config.vd_size_bytes,
-            io_size_bytes=config.io_size_bytes,
-            hang_threshold_ns=config.hang_threshold_ns,
+            health_policy=HealthPolicy(
+                heartbeat_interval_ns=config.heartbeat_interval_ns,
+                miss_threshold=config.miss_threshold,
+            ),
             attach_latency_ns=config.attach_latency_ns,
             drain_timeout_ns=config.drain_timeout_ns,
         )
         self.sim = self.cluster.sim
-        self.monitor = HealthMonitor(
-            self.sim,
-            HealthPolicy(
-                heartbeat_interval_ns=config.heartbeat_interval_ns,
-                miss_threshold=config.miss_threshold,
-            ),
-        )
-        # One rebuild executor + planner, orchestrator and telemetry plane
-        # per stack; deployments reuse host names, so probes register
-        # under a per-stack prefix.
+        self.monitor = self.cluster.health
+        # One rebuild executor + planner and orchestrator per stack, on
+        # that stack's rig and plane; deployments reuse host names, so
+        # probes register under a per-stack prefix.
         self.orchestrators: Dict[str, FailoverOrchestrator] = {}
-        self.planes: Dict[str, TelemetryPlane] = {}
         self.rebuild_planners: Dict[str, RebuildPlanner] = {}
         recovery = RebuildSpec(
             policy=config.rebuild_policy,
@@ -184,30 +192,22 @@ class ChaosHarness:
             chunk_kb=config.rebuild_chunk_kb,
         )
         for stack in config.stacks:
-            deployment = self.cluster.deployments[stack]
-            plane = TelemetryPlane(
-                deployment,
-                interval_ns=config.scrape_interval_ns,
-                slo_ns=config.slo_ns,
-                health=self.monitor,
-            )
+            rig = self.cluster.rigs[stack]
             orchestrator = build_recovery(
-                deployment, self.monitor, recovery, config.reroute_delay_ns,
-                plane=plane, node_prefix=f"{stack}/",
+                rig.deployment, self.monitor, recovery, config.reroute_delay_ns,
+                plane=rig.plane, node_prefix=f"{stack}/",
             )
             self.orchestrators[stack] = orchestrator
             self.rebuild_planners[stack] = orchestrator.planner
-            plane.start()
-            self.planes[stack] = plane
+            rig.plane.start()  # unbounded: a replay runs past the rig's bound
+            # Hangs go to the rig's plane (online) and the ledger (offline).
+            rig.hangs.on_hang = functools.partial(self._on_hang, rig.hangs.on_hang)
         self.monitor.start()
         # FPGA bit-flip lever, armed at rate 0 on every SOLAR offload.
         self.injector = BitFlipInjector(self.sim.rng.stream("chaos-bitflip"))
         for stack in config.stacks:
-            for offload in self.cluster.deployments[stack].solar_offloads.values():
+            for offload in self._deployment(stack).solar_offloads.values():
                 offload.fault_injector = self.injector
-        # Hang plumbing: threshold crossings flow to the right stack's
-        # telemetry plane (online) and the harness ledger (offline).
-        self.cluster.hang_monitor.on_hang = self._on_hang
         # Audit books.
         self.log: List[ChaosAction] = []
         self.suite = InvariantSuite(self)
@@ -215,7 +215,6 @@ class ChaosHarness:
         self._durable: Dict[Tuple[str, str, int], bytes] = {}
         self._pending: Dict[Tuple[str, str, int], int] = {}
         self._ios: Dict[int, IoRequest] = {}
-        self._io_stack: Dict[int, str] = {}
         self.offline_hangs: Dict[str, int] = {}
         self._migration_started: Dict[int, int] = {}
         self.writes_issued = 0
@@ -256,7 +255,7 @@ class ChaosHarness:
     def integrity_events(self) -> int:
         total = 0
         for stack in self.config.stacks:
-            for client in self.cluster.deployments[stack].solar_clients.values():
+            for client in self._deployment(stack).solar_clients.values():
                 total += client.integrity_events
         return total
 
@@ -278,9 +277,11 @@ class ChaosHarness:
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
-    def _on_hang(self, io: IoRequest) -> None:
-        stack = self._io_stack.get(io.io_id, self.config.stacks[0])
-        self.planes[stack].on_hang(io)
+    def _deployment(self, stack: str):
+        return self.cluster.rigs[stack].deployment
+
+    def _on_hang(self, to_plane, io: IoRequest) -> None:
+        to_plane(io)
         self.offline_hangs[io.vd_id] = self.offline_hangs.get(io.vd_id, 0) + 1
 
     def _io_done(
@@ -294,7 +295,7 @@ class ChaosHarness:
         key = (stack, vd_id, lba)
         if self._pending.get(key, 0) > 0:
             self._pending[key] -= 1
-        self.cluster.hang_monitor.note_completion(io)
+        self.cluster.rigs[stack].hangs.note_completion(io)
         self.monitor.note_io_completed(io)
         trace = io.trace
         if (
@@ -352,8 +353,7 @@ class ChaosHarness:
             data=payload,
         )
         self._ios[io.io_id] = io
-        self._io_stack[io.io_id] = stack
-        self.cluster.hang_monitor.watch(io)
+        self.cluster.rigs[stack].hangs.watch(io)
         self.writes_issued += 1
 
     def _do_read(self, server: int, block: int) -> None:
@@ -373,13 +373,12 @@ class ChaosHarness:
             ),
         )
         self._ios[io.io_id] = io
-        self._io_stack[io.io_id] = stack
-        self.cluster.hang_monitor.watch(io)
+        self.cluster.rigs[stack].hangs.watch(io)
         self.reads_issued += 1
 
     # -- node and switch faults ----------------------------------------
     def _storage_name(self, stack: str, node: int) -> str:
-        names = sorted(self.cluster.deployments[stack].storage_servers)
+        names = sorted(self._deployment(stack).storage_servers)
         return names[node % len(names)]
 
     def _known_stack(self, stack: str) -> bool:
@@ -401,7 +400,7 @@ class ChaosHarness:
             self.deferred_actions += 1
             return
         scenario = node_failure(name)
-        scenario.apply(self.cluster.deployments[stack].topology)
+        scenario.apply(self._deployment(stack).topology)
         self._faults[key] = (scenario, self.sim.now)
 
     def _do_clear_node(self, stack: str, node: int) -> None:
@@ -413,12 +412,12 @@ class ChaosHarness:
         if entry is None:
             self.deferred_actions += 1
             return
-        entry[0].revert(self.cluster.deployments[stack].topology)
+        entry[0].revert(self._deployment(stack).topology)
 
     def _do_fail_tor(self, stack: str, index: int) -> None:
         if not self._known_stack(stack):
             return
-        topology = self.cluster.deployments[stack].topology
+        topology = self._deployment(stack).topology
         tors = topology.switches_by_tier("tor")
         slot = str(index % len(tors))
         key = ("tor", stack, slot)
@@ -434,7 +433,7 @@ class ChaosHarness:
     def _do_clear_tor(self, stack: str, index: int) -> None:
         if not self._known_stack(stack):
             return
-        topology = self.cluster.deployments[stack].topology
+        topology = self._deployment(stack).topology
         tors = topology.switches_by_tier("tor")
         slot = str(index % len(tors))
         entry = self._faults.pop(("tor", stack, slot), None)
@@ -462,7 +461,7 @@ class ChaosHarness:
             return
         name = sources[node % len(sources)]
         scenario = node_failure(name)
-        scenario.apply(self.cluster.deployments[stack].topology)
+        scenario.apply(self._deployment(stack).topology)
         self._faults[("node", stack, name)] = (scenario, self.sim.now)
 
     # -- FPGA corruption ------------------------------------------------
@@ -500,7 +499,7 @@ class ChaosHarness:
         """
         for key in sorted(self._faults):
             scenario, _applied_ns = self._faults[key]
-            scenario.revert(self.cluster.deployments[key[1]].topology)
+            scenario.revert(self._deployment(key[1]).topology)
         self._faults.clear()
         self._do_set_bitflip(0)
         self.sim.run(until=self.sim.now + self.config.quiesce_ns)
@@ -529,7 +528,7 @@ class ChaosHarness:
             "writes_issued": self.writes_issued,
             "reads_issued": self.reads_issued,
             "durable_blocks": len(self._durable),
-            "hangs": self.cluster.hang_monitor.hangs,
+            "hangs": self.cluster.hangs,
             "incidents": len(self.monitor.incidents),
             "incidents_resolved": resolved,
             "evacuations": {

@@ -93,8 +93,8 @@ class InvariantSuite:
     def check_replica_policy(self) -> None:
         """3 distinct replicas per segment; expired dead nodes drained."""
         h = self.harness
-        for stack, deployment in h.cluster.deployments.items():
-            table = deployment.segment_table
+        for stack, rig in h.cluster.rigs.items():
+            table = rig.deployment.segment_table
             for vd_id in table.vd_ids():
                 for seg in table.segments_of(vd_id):
                     if len(set(seg.replicas)) != len(seg.replicas) or len(seg.replicas) != 3:
@@ -128,7 +128,7 @@ class InvariantSuite:
         for (stack, vd_id, lba), payload in h.durable_writes():
             if h.write_pending(stack, vd_id, lba):
                 continue  # a newer write to this block is still in flight
-            deployment = h.cluster.deployments[stack]
+            deployment = h.cluster.rigs[stack].deployment
             seg = deployment.segment_table.lookup(vd_id, lba)
             key = (seg.segment_id, lba)
             copies = 0
@@ -192,10 +192,11 @@ class InvariantSuite:
                 )
 
     def check_hang_parity(self) -> None:
-        """Online diagnoser tallies == offline hang-monitor counts."""
+        """Online diagnoser tallies == the rigs' hang-monitor counts."""
         h = self.harness
-        online_total = sum(p.diagnoser.hangs for p in h.planes.values())
-        offline_total = h.cluster.hang_monitor.hangs
+        planes = [rig.plane for rig in h.cluster.rigs.values()]
+        online_total = sum(p.diagnoser.hangs for p in planes)
+        offline_total = h.cluster.hangs
         if online_total != offline_total:
             raise InvariantViolation(
                 "hang-parity",
@@ -203,7 +204,7 @@ class InvariantSuite:
                 f"monitor counted {offline_total}",
             )
         online_nodes: Dict[str, int] = {}
-        for plane in h.planes.values():
+        for plane in planes:
             for node, count in plane.diagnoser.hangs_by_node.items():
                 online_nodes[node] = online_nodes.get(node, 0) + count
         if online_nodes != h.offline_hangs:
@@ -244,7 +245,7 @@ class InvariantSuite:
                     f"{stack}: rebuild storm still open after quiesce: "
                     f"{ledger}",
                 )
-            rebuilding = h.cluster.deployments[stack].segment_table.rebuilding
+            rebuilding = h.cluster.rigs[stack].deployment.segment_table.rebuilding
             if rebuilding:
                 raise InvariantViolation(
                     "rebuild-settled",

@@ -15,8 +15,8 @@ Modules:
   `repro.rebuild` planner + record);
 * :mod:`~repro.control.migration` — VD live migration with
   pause → drain → attach phase accounting;
-* :mod:`~repro.control.cluster` — per-stack deployments sharing one
-  simulator, modelled as a fleet of logical servers;
+* :mod:`~repro.control.cluster` — per-stack rigs sharing one clock,
+  modelled as a fleet of logical servers;
 * :mod:`~repro.control.upgrade` — the rolling-upgrade engine producing a
   simulated Figure 7 rollout;
 * :mod:`~repro.control.drill` — upgrade drills as cacheable

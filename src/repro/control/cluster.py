@@ -4,12 +4,14 @@ The rollout experiments of Figure 7 need something no single
 :class:`~repro.ebs.deployment.EbsDeployment` provides: servers running
 *different* FN stacks at the same simulated instant, with the control
 plane moving virtual disks between them while guests keep issuing I/O.
-:class:`ControlledCluster` builds one deployment per stack on a shared
-:class:`~repro.sim.engine.Simulator` and models the fleet as logical
-servers — each a VD plus an open-loop paced writer — that the upgrade
-engine migrates from stack to stack.
+:class:`ControlledCluster` builds one :class:`~repro.lab.rig.Rig` per
+stack, each joined to the first rig's clock and health monitor, and
+models the fleet as logical servers — each a VD plus an open-loop paced
+writer — that the upgrade engine migrates from stack to stack.  Each
+I/O is hang-watched by the rig of the stack its server is on when the
+I/O is issued.
 
-Determinism: deployments are constructed in :data:`UPGRADE_ORDER`, server
+Determinism: rigs are constructed in :data:`UPGRADE_ORDER`, server
 state is touched only from simulator events, and every recorded sample is
 simulated-time data, so a cluster run is a pure function of its spec and
 seed (the property `repro.lab` caching relies on).
@@ -21,12 +23,13 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..ebs.deployment import DeploymentSpec, EbsDeployment
+from ..ebs.deployment import DeploymentSpec
 from ..ebs.virtual_disk import VirtualDisk
-from ..faults.injection import IoHangMonitor
-from ..lab.spec import UPGRADE_ORDER
-from ..sim.engine import Simulator
-from ..sim.events import SECOND
+# The module, not the class: lab.rig imports control.health, so whichever
+# of the two packages loads first finds the other partly initialised.
+from ..lab import rig as lab_rig
+from ..lab.spec import UPGRADE_ORDER, ExperimentSpec
+from .health import HealthPolicy
 from .migration import DEFAULT_ATTACH_NS, LiveMigration, MigrationReport
 
 #: Compact per-stack deployment shape for fleet drills: enough compute
@@ -66,18 +69,19 @@ class LogicalServer:
 
 
 class ControlledCluster:
-    """Per-stack deployments + logical servers + live load on one clock."""
+    """Per-stack rigs + logical servers + live load on one clock.
+
+    Each rig runs ``spec`` on its own stack; all join the first rig, whose
+    health monitor follows ``health_policy``.
+    """
 
     def __init__(
         self,
+        spec: ExperimentSpec,
         stacks: Sequence[str],
         servers: int,
         seed: int = 0,
-        deployment: DeploymentSpec = FLEET_DEPLOYMENT,
-        vd_size_bytes: int = 64 * 1024 * 1024,
-        io_gap_ns: int = 500_000,
-        io_size_bytes: int = 4096,
-        hang_threshold_ns: int = 1 * SECOND,
+        health_policy: HealthPolicy = HealthPolicy(),
         attach_latency_ns: int = DEFAULT_ATTACH_NS,
         drain_timeout_ns: Optional[int] = None,
     ):
@@ -88,32 +92,25 @@ class ControlledCluster:
             raise ValueError(f"stacks {unknown} not in {UPGRADE_ORDER}")
         if servers < 1:
             raise ValueError(f"need at least one server, got {servers}")
-        self.seed = seed
-        self.io_gap_ns = io_gap_ns
-        self.io_size_bytes = io_size_bytes
-        self.sim = Simulator(seed=seed)
-        self.hang_monitor = IoHangMonitor(self.sim, threshold_ns=hang_threshold_ns)
+        self.rigs: Dict[str, lab_rig.Rig] = {}
+        first = None
+        for stack in (s for s in UPGRADE_ORDER if s in stacks):  # fixed order
+            deployment = dataclasses.replace(spec.deployment, stack=stack)
+            self.rigs[stack] = lab_rig.Rig(dataclasses.replace(spec, deployment=deployment),
+                                           seed, health_policy, join=first)
+            first = first or self.rigs[stack]
+        self.sim = first.sim
+        self.health = first.health
         self.migrator = LiveMigration(
             self.sim, attach_latency_ns, drain_timeout_ns=drain_timeout_ns
         )
-        self.deployments: Dict[str, EbsDeployment] = {}
-        for stack in UPGRADE_ORDER:  # fixed construction order
-            if stack in stacks:
-                self.deployments[stack] = EbsDeployment(
-                    dataclasses.replace(deployment, stack=stack, seed=seed),
-                    sim=self.sim,
-                )
-        initial = next(s for s in UPGRADE_ORDER if s in stacks)
-        self.servers: List[LogicalServer] = []
-        first = self.deployments[initial]
-        hosts = first.compute_host_names()
-        for i in range(servers):
-            vd = VirtualDisk(
-                first, f"srv{i}-vd", hosts[i % len(hosts)], vd_size_bytes
-            )
-            self.servers.append(
-                LogicalServer(index=i, name=f"srv{i}", stack=initial, vd=vd)
-            )
+        initial = first.spec.deployment.stack
+        hosts = first.deployment.compute_host_names()
+        self.servers: List[LogicalServer] = [
+            LogicalServer(index=i, name=f"srv{i}", stack=initial,
+                          vd=first.add_vd(f"srv{i}-vd", hosts[i % len(hosts)]))
+            for i in range(servers)
+        ]
         self.migration_reports: List[MigrationReport] = []
         #: Migrations rolled back by the drain timeout (fault mid-drain).
         self.aborted_migrations: List[MigrationReport] = []
@@ -124,13 +121,16 @@ class ControlledCluster:
     # ------------------------------------------------------------------
     # Live load
     # ------------------------------------------------------------------
-    def start_load(self, until_ns: int) -> None:
-        """Start one paced open-loop writer per server, issuing until
+    def start_load(self, until_ns: int, io_gap_ns: int, io_size_bytes: int) -> None:
+        """Start one paced open-loop writer per server (an
+        ``io_size_bytes`` write every ``io_gap_ns``), issuing until
         ``until_ns``.  Deferred ticks (VD paused for migration) count as
         queued guest I/O, never as errors."""
         if self._load_until_ns is not None:
             raise RuntimeError("cluster load already started")
         self._load_until_ns = until_ns
+        self._io_gap_ns = io_gap_ns
+        self._io_size_bytes = io_size_bytes
         for server in self.servers:
             self.sim.call_soon(self._tick, server)
 
@@ -141,18 +141,18 @@ class ControlledCluster:
         if vd.paused or vd.detached:
             server.deferred += 1
         else:
-            span = vd.size_bytes - self.io_size_bytes
-            offset = (server.issued * self.io_size_bytes) % span if span > 0 else 0
+            span = vd.size_bytes - self._io_size_bytes
+            offset = (server.issued * self._io_size_bytes) % span if span > 0 else 0
             offset -= offset % 4096
             issued_at = self.sim.now
             io = vd.write(
                 offset,
-                self.io_size_bytes,
+                self._io_size_bytes,
                 lambda done, s=server, t=issued_at: self._io_done(s, t, done),
             )
-            self.hang_monitor.watch(io)
+            self.rigs[server.stack].hangs.watch(io)
             server.issued += 1
-        self.sim.schedule(self.io_gap_ns, self._tick, server)
+        self.sim.schedule(self._io_gap_ns, self._tick, server)
 
     def _io_done(self, server: LogicalServer, issued_at: int, io) -> None:
         if io.trace is not None and io.trace.ok:
@@ -180,7 +180,7 @@ class ControlledCluster:
         """
         if server.migrating:
             raise RuntimeError(f"{server.name} is already migrating")
-        target = self.deployments[to_stack]
+        target = self.rigs[to_stack].deployment
         hosts = target.compute_host_names()
         target_host = hosts[server.index % len(hosts)]
         server.migrating = True
@@ -214,7 +214,7 @@ class ControlledCluster:
             counts[server.stack] = counts.get(server.stack, 0) + 1
         return {
             stack: counts.get(stack, 0) / len(self.servers)
-            for stack in self.deployments
+            for stack in self.rigs
         }
 
     def availability(self, start_ns: int, end_ns: int) -> float:
@@ -224,18 +224,6 @@ class ControlledCluster:
             raise ValueError(f"empty window [{start_ns}, {end_ns})")
         down = sum(s.downtime_in(start_ns, end_ns) for s in self.servers)
         return 1.0 - down / (window * len(self.servers))
-
-    def component_totals(self) -> Tuple[Dict[str, int], int]:
-        """Summed SA/FN/BN/SSD trace time and trace count, all stacks."""
-        totals = {c: 0 for c in ("sa", "fn", "bn", "ssd")}
-        count = 0
-        for stack in self.deployments:
-            traces = self.deployments[stack].collector.completed()
-            count += len(traces)
-            for trace in traces:
-                for component in totals:
-                    totals[component] += trace.components[component]
-        return totals, count
 
     @property
     def issued(self) -> int:
@@ -252,3 +240,11 @@ class ControlledCluster:
     @property
     def deferred(self) -> int:
         return sum(s.deferred for s in self.servers)
+
+    @property
+    def hangs(self) -> int:
+        return sum(rig.hangs.hangs for rig in self.rigs.values())
+
+    @property
+    def watched(self) -> int:
+        return sum(rig.hangs.watched for rig in self.rigs.values())

@@ -16,10 +16,10 @@ across processes and across serial vs parallel sweeps.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict
 
-from ..lab.spec import SCHEMA_VERSION, UPGRADE_ORDER, ExperimentSpec
+from ..lab import rig as lab_rig  # the module: see control/cluster.py
+from ..lab.spec import UPGRADE_ORDER, ExperimentSpec
 from .cluster import ControlledCluster
 from .upgrade import RollingUpgradeEngine, UpgradeResult, WaveReport
 
@@ -31,44 +31,25 @@ def build_cluster(spec: ExperimentSpec, seed: int) -> ControlledCluster:
         raise ValueError(f"spec {spec.name!r} has no upgrade plan")
     lo = UPGRADE_ORDER.index(plan.from_stack)
     hi = UPGRADE_ORDER.index(plan.to_stack)
-    return ControlledCluster(
-        stacks=UPGRADE_ORDER[lo : hi + 1],
-        servers=plan.servers,
-        seed=seed,
-        deployment=dataclasses.replace(spec.deployment, seed=seed),
-        vd_size_bytes=spec.vd_size_mb * 1024 * 1024,
-        io_gap_ns=plan.io_gap_ns,
-        io_size_bytes=plan.io_size_bytes,
-        hang_threshold_ns=spec.hang_threshold_ns,
-    )
+    return ControlledCluster(spec, UPGRADE_ORDER[lo : hi + 1], plan.servers, seed)
 
 
 def result_to_artifact(
     spec: ExperimentSpec, seed: int, cluster: ControlledCluster, result: UpgradeResult
 ) -> Dict[str, Any]:
-    """Flatten an :class:`UpgradeResult` into the lab artifact layout."""
+    """Flatten an :class:`UpgradeResult` into the lab artifact layout:
+    the keys every lab artifact shares, read off the cluster's rigs, plus
+    the rollout's own."""
     plan = result.plan
-    component_ns, component_count = cluster.component_totals()
-    return {
-        "schema": SCHEMA_VERSION,
-        "digest": spec.point_digest(seed),
-        "name": spec.name,
+    artifact = lab_rig.lab_artifact(
+        spec, seed, cluster.rigs.values(), "upgrade", result.issued,
+        result.completed, result.failed, result.completed * plan.io_size_bytes,
+        plan.total_waves * plan.wave_window_ns,
+        [latency for _issue, latency, _srv in cluster.samples],
+    )
+    artifact.update({
         "stack": f"{plan.from_stack}->{plan.to_stack}",
-        "seed": seed,
-        "workload_mode": "upgrade",
-        "issued": result.issued,
-        "completed": result.completed,
-        "failed": result.failed,
         "deferred": result.deferred,
-        "hangs": result.hangs,
-        "watched": result.watched,
-        "bytes_moved": result.completed * plan.io_size_bytes,
-        "duration_ns": plan.total_waves * plan.wave_window_ns,
-        "sim_ns": cluster.sim.now,
-        "events": cluster.sim.events_processed,
-        "latency_ns": [latency for _issue, latency, _srv in cluster.samples],
-        "component_ns": component_ns,
-        "component_count": component_count,
         "servers": result.servers,
         "migrations": [
             {
@@ -100,7 +81,8 @@ def result_to_artifact(
             }
             for w in result.waves
         ],
-    }
+    })
+    return artifact
 
 
 def execute_upgrade_point(spec: ExperimentSpec, seed: int) -> Dict[str, Any]:

@@ -95,12 +95,12 @@ class RollingUpgradeEngine:
             stack
             for hop in plan.hops()
             for stack in hop
-            if stack not in cluster.deployments
+            if stack not in cluster.rigs
         }
         if missing:
             raise ValueError(
-                f"cluster lacks deployments for {sorted(missing)}; "
-                f"has {sorted(cluster.deployments)}"
+                f"cluster lacks rigs for {sorted(missing)}; "
+                f"has {sorted(cluster.rigs)}"
             )
         if len(cluster.servers) != plan.servers:
             raise ValueError(
@@ -140,7 +140,7 @@ class RollingUpgradeEngine:
         for w in range(total):
             cluster.sim.schedule_at((w + 1) * window, self._snapshot_mix, w)
 
-        cluster.start_load(until_ns=end_ns)
+        cluster.start_load(end_ns, plan.io_gap_ns, plan.io_size_bytes)
         cluster.sim.run()
         return self._report(end_ns)
 
@@ -199,8 +199,8 @@ class RollingUpgradeEngine:
             completed=cluster.completed,
             failed=cluster.failed,
             deferred=cluster.deferred,
-            hangs=cluster.hang_monitor.hangs,
-            watched=cluster.hang_monitor.watched,
+            hangs=cluster.hangs,
+            watched=cluster.watched,
             migrations=len(cluster.migration_reports),
         )
 

@@ -1,20 +1,21 @@
 """One rig: a single deployment wired for one run.
 
-A lab point, a rebuild drill, one `repro.dist` deployment and the
-``monitor`` subcommand all run the paper's one SA → FN → BN → SSD path
-watched for I/O hangs.  :class:`Rig` makes each wiring decision of that
-assembly once, from an :class:`~repro.lab.spec.ExperimentSpec` and a
+Every run in the package — a lab point, a drill, a fleet member, a controlled
+cluster's stack, a CLI command — runs the paper's one SA → FN → BN → SSD
+path watched for I/O hangs.  :class:`Rig` makes each wiring decision of
+that assembly once, from an :class:`~repro.lab.spec.ExperimentSpec` and a
 seed.  Hang routing: a hung I/O goes to the telemetry plane when there
 is one (which counts and diagnoses it, then reports it to the health
-monitor), otherwise straight to the health monitor.  Callers keep their
-VD ids and job names (they key RNG streams), when the load starts, and
-their read-out.
+monitor), otherwise straight to the health monitor.  A rig that joins
+another shares its clock and health monitor; the rest is its own.
+Callers keep their VD ids and job names (they key RNG streams), when the
+load starts, and their read-out.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence
 
 from ..control.health import HealthMonitor, HealthPolicy
 from ..ebs import EbsDeployment, VirtualDisk
@@ -32,12 +33,16 @@ class Rig:
 
     def __init__(self, spec: ExperimentSpec, seed: int,
                  health_policy: HealthPolicy = HealthPolicy(),
-                 drain_ns: int = DRAIN_NS, recorder=None):
+                 drain_ns: int = DRAIN_NS, recorder=None,
+                 join: Optional[Rig] = None):
         self.spec = spec
         self.seed = seed
-        self.deployment = EbsDeployment(dataclasses.replace(spec.deployment, seed=seed))
+        self.deployment = EbsDeployment(
+            dataclasses.replace(spec.deployment, seed=seed),
+            sim=None if join is None else join.sim,
+        )
         self.sim = self.deployment.sim
-        self.health = HealthMonitor(self.sim, health_policy)
+        self.health = HealthMonitor(self.sim, health_policy) if join is None else join.health
         telemetry = spec.telemetry
         if telemetry is None and spec.rebuild is not None and spec.rebuild.policy == "reactive":
             # The reactive throttle is fed by the plane's sketches: the
@@ -100,36 +105,44 @@ class Rig:
     def run(self) -> None:
         self.deployment.run(until_ns=self.until_ns)
 
-    def artifact(self, mode: str, issued: int, completed: int, failed: int,
-                 bytes_moved: int, duration_ns: int,
-                 latency_ns: Sequence[int]) -> Dict[str, Any]:
-        """The keys every lab artifact shares, plus ``telemetry`` when the
-        spec asked for it.  Simulated values only, so the same point always
-        yields the same bytes."""
-        ok_traces = self.deployment.collector.completed()
-        artifact: Dict[str, Any] = {
-            "schema": SCHEMA_VERSION,
-            "digest": self.spec.point_digest(self.seed),
-            "name": self.spec.name,
-            "stack": self.spec.deployment.stack,
-            "seed": self.seed,
-            "workload_mode": mode,
-            "issued": issued,
-            "completed": completed,
-            "failed": failed,
-            "hangs": self.hangs.hangs,
-            "watched": self.hangs.watched,
-            "bytes_moved": bytes_moved,
-            "duration_ns": duration_ns,
-            "sim_ns": self.sim.now,
-            "events": self.sim.events_processed,
-            "latency_ns": list(latency_ns),
-            "component_ns": {
-                c: sum(t.components[c] for t in ok_traces)
-                for c in ("sa", "fn", "bn", "ssd")
-            },
-            "component_count": len(ok_traces),
-        }
+    def artifact(self, *measured) -> Dict[str, Any]:
+        """:func:`lab_artifact` of this rig's point, plus ``telemetry``
+        when the spec asked for it."""
+        artifact = lab_artifact(self.spec, self.seed, [self], *measured)
         if self.spec.telemetry is not None:
             artifact["telemetry"] = self.plane.summary()
         return artifact
+
+
+def lab_artifact(spec: ExperimentSpec, seed: int, rigs: Iterable[Rig], mode: str,
+                 issued: int, completed: int, failed: int, bytes_moved: int,
+                 duration_ns: int, latency_ns: Sequence[int]) -> Dict[str, Any]:
+    """The keys every lab artifact shares, for the (spec, seed) point run
+    on ``rigs`` (one clock; hangs and trace time are summed over them).
+    Simulated values only, so the same point always yields the same bytes."""
+    rigs = list(rigs)
+    sim = rigs[0].sim
+    ok_traces = [t for rig in rigs for t in rig.deployment.collector.completed()]
+    return {
+        "schema": SCHEMA_VERSION,
+        "digest": spec.point_digest(seed),
+        "name": spec.name,
+        "stack": spec.deployment.stack,
+        "seed": seed,
+        "workload_mode": mode,
+        "issued": issued,
+        "completed": completed,
+        "failed": failed,
+        "hangs": sum(rig.hangs.hangs for rig in rigs),
+        "watched": sum(rig.hangs.watched for rig in rigs),
+        "bytes_moved": bytes_moved,
+        "duration_ns": duration_ns,
+        "sim_ns": sim.now,
+        "events": sim.events_processed,
+        "latency_ns": list(latency_ns),
+        "component_ns": {
+            c: sum(t.components[c] for t in ok_traces)
+            for c in ("sa", "fn", "bn", "ssd")
+        },
+        "component_count": len(ok_traces),
+    }

@@ -351,9 +351,11 @@ class ExperimentSpec:
         if self.vd_size_mb <= 0:
             raise ValueError(f"vd_size_mb must be positive, got {self.vd_size_mb}")
         if self.upgrade is not None and (self.telemetry is not None or self.faults):
-            # Upgrade drills run their own fleet loop (repro.control.drill),
-            # not a rig: no VD to watch, no fault schedule.  Silently
-            # dropping either request would be worse than refusing it.
+            # An upgrade drill runs one rig per stack, but it never starts
+            # their planes nor writes a telemetry section, and nothing yet
+            # defines a fault schedule across stacks (each stack's own
+            # fabric, or one).  Silently dropping either request would be
+            # worse than refusing it.
             raise ValueError("upgrade drills do not support telemetry specs or fault schedules")
         if self.rebuild is not None:
             if self.upgrade is not None:

@@ -107,6 +107,16 @@ class TestScenarioFormat:
         config = ChaosConfig(seed=9, stacks=("kernel", "solar"))
         assert ChaosConfig.from_dict(config.to_dict()) == config
 
+    def test_io_size_other_than_a_block_rejected(self):
+        # Chaos I/Os are always one block: any other size would be dropped.
+        with pytest.raises(ValueError, match="io_size_bytes"):
+            ChaosConfig(io_size_bytes=2 * BLOCK_SIZE)
+
+    def test_vd_size_not_whole_mib_rejected(self):
+        # VDs are provisioned in whole MiB.
+        with pytest.raises(ValueError, match="vd_size_bytes"):
+            ChaosConfig(vd_size_bytes=8 * 1024 * 1024 + BLOCK_SIZE)
+
 
 class TestBlockPayload:
     def test_deterministic_full_block(self):
@@ -178,7 +188,7 @@ class TestHarness:
         # Pre-fix bug three: provision ignored the evacuation quarantine
         # and placed fresh segments on a node known to be dead.
         harness = ChaosHarness(ChaosConfig())
-        table = harness.cluster.deployments["solar"].segment_table
+        table = harness.cluster.rigs["solar"].deployment.segment_table
         original = type(table).provision
 
         def provision_everywhere(*args, **kwargs):

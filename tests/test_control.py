@@ -3,6 +3,7 @@
 import pytest
 
 from repro.control import (
+    FLEET_DEPLOYMENT,
     ControlledCluster,
     FailoverOrchestrator,
     HEARTBEAT_LOSS,
@@ -23,7 +24,7 @@ from repro.ebs.virtual_disk import VdStateError
 from repro.faults import IoHangMonitor
 from repro.lab.spec import ExperimentSpec, UpgradeSpec, canonical_json
 from repro.rebuild import RebuildExecutor, RebuildPlanner, StaticCapPolicy
-from repro.sim import MS, SECOND, Simulator
+from repro.sim import MS, SECOND, US, Simulator
 
 
 def small_deployment(stack="luna", seed=7, **kw):
@@ -37,6 +38,12 @@ def orchestrator(dep, monitor, node_prefix=""):
         node_prefix=node_prefix,
     )
     return FailoverOrchestrator(dep, monitor, planner, node_prefix=node_prefix)
+
+
+def fleet_cluster(stacks, servers):
+    """A controlled cluster on the fleet deployment shape, seed 0."""
+    spec = ExperimentSpec(deployment=FLEET_DEPLOYMENT, vd_size_mb=64)
+    return ControlledCluster(spec, stacks, servers, seed=0)
 
 
 def drill_spec(**upgrade_kw) -> ExperimentSpec:
@@ -341,14 +348,14 @@ class TestLiveMigration:
 # ----------------------------------------------------------------------
 class TestPartitionWaves:
     def test_contiguous_and_exhaustive(self):
-        cluster = ControlledCluster(["kernel"], servers=5, seed=0)
+        cluster = fleet_cluster(["kernel"], 5)
         groups = partition_waves(cluster.servers, 2)
         assert [len(g) for g in groups] == [3, 2]
         flat = [s.index for g in groups for s in g]
         assert flat == [0, 1, 2, 3, 4]
 
     def test_bad_wave_count_rejected(self):
-        cluster = ControlledCluster(["kernel"], servers=2, seed=0)
+        cluster = fleet_cluster(["kernel"], 2)
         with pytest.raises(ValueError):
             partition_waves(cluster.servers, 3)
 
@@ -388,22 +395,22 @@ class TestUpgradeEngine:
 
     def test_engine_validates_plan_against_cluster(self):
         spec = drill_spec()
-        cluster = ControlledCluster(["kernel", "luna"], servers=3, seed=0)
+        cluster = fleet_cluster(["kernel", "luna"], 3)
         with pytest.raises(ValueError):
             RollingUpgradeEngine(cluster, spec.upgrade)  # 3 != 4 servers
-        cluster2 = ControlledCluster(["kernel"], servers=4, seed=0)
+        cluster2 = fleet_cluster(["kernel"], 4)
         with pytest.raises(ValueError):
             RollingUpgradeEngine(cluster2, spec.upgrade)  # luna missing
 
     def test_cluster_rejects_unknown_stack(self):
         with pytest.raises(ValueError):
-            ControlledCluster(["tcp"], servers=2)
+            fleet_cluster(["tcp"], 2)
 
     def test_cluster_load_cannot_start_twice(self):
-        cluster = ControlledCluster(["kernel"], servers=1, seed=0)
-        cluster.start_load(until_ns=1 * MS)
+        cluster = fleet_cluster(["kernel"], 1)
+        cluster.start_load(1 * MS, 500 * US, 4096)
         with pytest.raises(RuntimeError):
-            cluster.start_load(until_ns=1 * MS)
+            cluster.start_load(1 * MS, 500 * US, 4096)
 
 
 class TestDrillDeterminism:
