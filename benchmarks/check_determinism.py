@@ -18,10 +18,14 @@ constant and says why in CHANGES.md.
 * **Replay** — the six ``tests/scenarios/*.json`` chaos replay reports,
   three lab points (fio on LUNA under a spine blackhole with telemetry,
   so I/Os hang; isolated writes on SOLAR; a reactive rebuild drill with
-  telemetry), the CI smoke's rolling-upgrade point (``kernel→luna``,
-  seed 42, 4 servers, 2 waves, 32 MB VDs) and the ``monitor --json``
-  summary of the CI smoke run: the canonical-JSON sha256 of each, first
-  16 hex digits.
+  telemetry), the ``python -m repro run --json`` output of the CI
+  smoke's spec files (the ``kernel→luna`` rolling upgrade at seed 42
+  with 4 servers, 2 waves and 32 MB VDs; the static-cap rebuild drill;
+  the one-point SOLAR sweep) and the ``monitor --json`` summary of the
+  CI smoke run: the canonical-JSON sha256 of each, first 16 hex digits.
+* **CI fleet** — the ``run --json`` document of
+  ``examples/specs/ci-fleet.json`` (4 deployments, 5 ms, seed 42) on 1
+  and 4 worker processes: the fleet digest.
 * **CLI** — the stdout (and exit status) of the quick ``compare``,
   ``latency`` and ``failover`` subcommands, hashed the same way.
 
@@ -50,7 +54,6 @@ import sys
 from repro.__main__ import main as repro_main
 from repro.chaos.harness import replay_scenario
 from repro.chaos.scenario import ChaosScenario
-from repro.control.cluster import FLEET_DEPLOYMENT
 from repro.dist import reference_fleet, run_fleet
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
 from repro.lab.runner import execute_point
@@ -59,10 +62,10 @@ from repro.lab.spec import (
     FaultSpec,
     RebuildSpec,
     TelemetrySpec,
-    UpgradeSpec,
     WorkloadSpec,
     canonical_json,
 )
+from repro.run import execute, load_spec, parse_set
 from repro.scenario import (
     SloGate,
     get_scenario,
@@ -103,7 +106,14 @@ REPLAY_DIGESTS = {
     "lab rebuild-reactive": "759bb6e10950ca1f",
     "monitor": "5150514b42ae0898",
     "lab upgrade kernel->luna": "26658519a5a49722",
+    "run rebuild (CI drill)": "0c7640ead0e972e4",
+    "run sweep (CI point)": "80c95b4802d29774",
 }
+
+#: ``run examples/specs/ci-fleet.json --json``: the fleet digest, equal
+#: at every worker count.
+CI_FLEET_DIGEST = "538b4f3d64ae63fdc55a7fad5423d1a6f2d9395e0b314d36a538ea0c34bfc86c"
+CI_FLEET_WORKERS = (1, 4)
 
 #: The quick subcommands whose stdout and exit status are pinned.
 CLI_DIGESTS = {
@@ -113,9 +123,9 @@ CLI_DIGESTS = {
 }
 
 CATALOG_SCENARIOS = ("incast-burst", "rebuild-storm")
-TESTS_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TESTS_DIR = os.path.join(ROOT, "tests")
+SPECS_DIR = os.path.join(ROOT, "examples", "specs")
 DATA_DIR = os.path.join(TESTS_DIR, "data")
 IMPORTS = (("msr", "msr_sample.csv"), ("alibaba", "alibaba_sample.csv"))
 REPLAY_STACKS = ("luna", "solar")
@@ -166,8 +176,7 @@ def run_scenarios() -> dict:
 
 
 #: The pinned lab points: hangs under a fault with telemetry, the
-#: isolated mode, a rebuild drill whose throttle reads the plane, and the
-#: CI smoke's rolling-upgrade drill.
+#: isolated mode and a rebuild drill whose throttle reads the plane.
 LAB_POINTS = {
     "lab fio@luna": ExperimentSpec(
         name="pin-fio",
@@ -192,13 +201,20 @@ LAB_POINTS = {
         telemetry=TelemetrySpec(),
         rebuild=RebuildSpec(policy="reactive", node_index=1, fail_at_ns=5 * MS),
     ),
-    "lab upgrade kernel->luna": ExperimentSpec(
-        name="upgrade/kernel-to-luna",
-        deployment=dataclasses.replace(FLEET_DEPLOYMENT, stack="luna"),
-        upgrade=UpgradeSpec(from_stack="kernel", to_stack="luna", servers=4, waves=2),
-        seeds=(42,),
-        vd_size_mb=32,
+}
+
+#: The CI smoke steps' ``run`` invocations, each one spec file and the
+#: ``--set`` edits CI gives it.
+RUN_POINTS = {
+    "lab upgrade kernel->luna": (
+        "upgrade.json", "seeds=[42]", "upgrade.servers=4", "upgrade.waves=2",
+        "vd_size_mb=32",
     ),
+    "run rebuild (CI drill)": (
+        "rebuild.json", "rebuild.node_index=1", "vd_size_mb=8",
+        "workload.runtime_ns=20000000",
+    ),
+    "run sweep (CI point)": ("ci-sweep.json",),
 }
 
 #: The CI smoke step's ``monitor`` invocation.
@@ -221,6 +237,17 @@ def run_cli(argv) -> dict:
     return {"exit": status, "stdout": out.getvalue()}
 
 
+def run_spec(name: str, *edits: str, workers: int = 1) -> dict:
+    """The ``run --json`` document of one committed spec file, each edit
+    a ``--set`` argument, run on ``workers`` worker processes."""
+    kind, spec = load_spec(os.path.join(SPECS_DIR, name),
+                           [parse_set(edit) for edit in edits])
+    outcome = execute(kind, spec, workers)
+    if outcome.status != 0:
+        raise SystemExit(f"run {name} exited {outcome.status}")
+    return json.loads(outcome.document)
+
+
 def run_replays() -> dict:
     """Digest of every pinned replay, by pin name."""
     digests = {}
@@ -229,6 +256,8 @@ def run_replays() -> dict:
         digests[f"chaos {scenario.name}"] = short_digest(replay_scenario(scenario))
     for name, spec in LAB_POINTS.items():
         digests[name] = short_digest(execute_point(spec, spec.seeds[0]))
+    for name, (spec_file, *edits) in RUN_POINTS.items():
+        digests[name] = short_digest(run_spec(spec_file, *edits))
     digests["monitor"] = short_digest(json.loads(run_cli(MONITOR_ARGS)["stdout"]))
     return digests
 
@@ -266,6 +295,11 @@ def main() -> int:
     issued = sum(p["metrics"]["issued"] for r in reports.values() for p in r["points"])
     print(f"scenario  {len(reports)} reports, {issued:,} I/Os issued, "
           f"combined digest {combined}")
+
+    for workers in CI_FLEET_WORKERS:
+        digest = run_spec("ci-fleet.json", workers=workers)["digest"]
+        expect(f"CI fleet digest @{workers} workers", digest, CI_FLEET_DIGEST)
+        print(f"ci fleet @{workers}  digest {digest[:8]}…")
 
     replays = run_replays()
     for name, got in replays.items():

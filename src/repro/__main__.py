@@ -6,15 +6,16 @@ Usage::
     python -m repro latency --stack solar --kind write --size-kb 16
     python -m repro compare --size-kb 4
     python -m repro failover --stack luna --until-ms 2000
-    python -m repro sweep --stacks solar,luna --seeds 0-3 --jobs 4
-    python -m repro upgrade --from kernel --to luna --seed 42
+    python -m repro run examples/specs/sweep.json examples/specs/upgrade.json
     python -m repro monitor --stack luna --fault blackhole:spine:1.0@30
 
+``run`` runs any lab, fleet or scenario spec file, or a catalog scenario
+name (see :mod:`repro.run`); ``chaos`` hunts for control-plane invariant
+violations and ``scenario`` records, imports and verifies traces.
 ``latency``, ``compare`` and ``failover`` each run one
-:class:`~repro.lab.rig.Rig` with a 512 MB VD.  ``failover`` and
-``upgrade`` exit nonzero (2) when I/O hangs are detected, so scripts can
-gate on them.  ``sweep`` and ``upgrade`` fan points across worker
-processes and cache results content-addressed under ``benchmarks/out/lab``.
+:class:`~repro.lab.rig.Rig` with a 512 MB VD.  ``failover`` and ``run``
+exit nonzero (2) when I/O hangs are detected, so scripts can gate on
+them.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ import argparse
 import sys
 
 from .chaos.cli import add_chaos_parser, cmd_chaos
-from .control.cli import add_upgrade_parser, cmd_upgrade
-from .dist.cli import add_dist_parser, cmd_dist
 from .ebs import DeploymentSpec, STACKS
-from .lab.cli import add_sweep_parser, cmd_sweep
 from .lab.rig import Rig
 from .lab.spec import ExperimentSpec, FaultSpec
-from .rebuild.cli import add_rebuild_parser, cmd_rebuild
+from .run import add_run_parser, cmd_run
 from .scenario.cli import add_scenario_parser, cmd_scenario
 from .sim import MS
 from .telemetry.cli import add_monitor_parser, cmd_monitor
@@ -53,8 +51,8 @@ def cmd_info(_args) -> int:
 
     print(f"repro {__version__} — 'From Luna to Solar' (SIGCOMM 2022) reproduction")
     print(f"stacks: {', '.join(STACKS)}")
-    print("subcommands: info | latency | compare | failover | sweep | upgrade "
-          "| monitor | chaos | rebuild | dist | scenario")
+    print("subcommands: info | latency | compare | failover | run | monitor "
+          "| chaos | scenario")
     return 0
 
 
@@ -143,12 +141,9 @@ def main(argv=None) -> int:
                            "exceed the 1000ms hang threshold — I/Os are "
                            "issued until one threshold before the end)")
 
-    add_sweep_parser(sub)
-    add_upgrade_parser(sub)
+    add_run_parser(sub)
     add_monitor_parser(sub)
     add_chaos_parser(sub)
-    add_rebuild_parser(sub)
-    add_dist_parser(sub)
     add_scenario_parser(sub)
 
     args = parser.parse_args(argv)
@@ -157,12 +152,9 @@ def main(argv=None) -> int:
         "latency": cmd_latency,
         "compare": cmd_compare,
         "failover": cmd_failover,
-        "sweep": cmd_sweep,
-        "upgrade": cmd_upgrade,
+        "run": cmd_run,
         "monitor": cmd_monitor,
         "chaos": cmd_chaos,
-        "rebuild": cmd_rebuild,
-        "dist": cmd_dist,
         "scenario": cmd_scenario,
         None: cmd_info,
     }

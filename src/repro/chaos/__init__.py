@@ -18,7 +18,8 @@ search the interleaving space:
 * :mod:`~repro.chaos.scenario` — digest-verified replayable scenario
   files; shrunken counterexamples become named regression tests under
   ``tests/scenarios/``;
-* :mod:`~repro.chaos.cli` — ``python -m repro chaos [--replay FILE]``.
+* :mod:`~repro.chaos.cli` — ``python -m repro chaos`` (the hunt); a
+  scenario file replays with ``python -m repro run FILE``.
 """
 
 from .harness import ChaosConfig, ChaosHarness, block_payload, replay_scenario

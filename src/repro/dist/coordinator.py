@@ -56,17 +56,16 @@ class FleetResult:
         return self.events_processed / self.wall_s if self.wall_s > 0 else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
+        """The result document: a pure function of the spec, so the
+        wall clock and the worker count stay out of it."""
         return {
             "name": self.spec.name,
             "spec_digest": self.spec.digest(),
-            "shards": self.shards,
             "deployments": len(self.spec.deployments),
             "digest": self.digest,
             "messages_routed": self.messages_routed,
             "messages_dropped": self.messages_dropped,
             "events_processed": self.events_processed,
-            "wall_s": round(self.wall_s, 6),
-            "events_per_sec": round(self.events_per_sec, 1),
             "summary": self.summary,
             "artifacts": self.artifacts,
         }

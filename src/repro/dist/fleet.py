@@ -218,8 +218,9 @@ def reference_fleet(
     seed: int = 42,
     name: str = "reference",
 ) -> FleetSpec:
-    """The fixed reference fleet the CLI default, CI smoke and scaling
-    bench all run: alternating SOLAR/LUNA deployments with one of each
+    """The fixed reference fleet the committed fleet specs
+    (``examples/specs/fleet.json``, ``ci-fleet.json``) and the scaling
+    bench run: alternating SOLAR/LUNA deployments with one of each
     cross-deployment event kind wired between neighbours."""
     if deployments < 2:
         raise ValueError("the reference fleet needs >= 2 deployments")

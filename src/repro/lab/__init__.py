@@ -18,7 +18,8 @@ the way SimBricks-style orchestration layers do for modular simulators:
 * :mod:`repro.lab.results` — cross-seed aggregation (pooled latency
   distributions, component breakdowns, replicate mean ± 95% CI);
 * :mod:`repro.lab.telemetry` — streamed per-point progress + run counters;
-* :mod:`repro.lab.cli` — the ``python -m repro sweep`` subcommand.
+* :mod:`repro.lab.cli` — the fault grammar and table the CLI shares;
+  specs run with ``python -m repro run`` (:mod:`repro.run`).
 
 Quick start::
 

@@ -1,32 +1,14 @@
-"""The ``python -m repro sweep`` subcommand.
-
-Turns command-line flags into an :class:`ExperimentSpec` per stack, fans
-the (stack x seed) points through the parallel runner with the
-content-addressed store underneath, and prints per-point progress plus an
-aggregated table.  Typical usage::
-
-    python -m repro sweep --stacks solar,luna --seeds 0-3 --jobs 4
-    python -m repro sweep --fault switch_blackhole:spine:0.5@10 --stacks luna
-    REPRO_JOBS=8 python -m repro sweep --force
-
-Re-running an identical sweep is served from ``benchmarks/out/lab`` (or
-``--store DIR``) without simulating anything.
+"""Command-line helpers the subcommands share: the fault grammar
+(``--fault kind:target:param@start_ms[-end_ms]``) and the plain-text
+table every summary prints.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import List, Sequence
+from typing import Sequence
 
-from ..ebs import DeploymentSpec, STACKS
 from ..sim import MS
-from .results import SpecAggregate
-from .runner import default_jobs, run_sweep
-from .spec import FAULT_KINDS, ExperimentSpec, FaultSpec, WorkloadSpec, stack_sweep
-from .store import DEFAULT_STORE_DIR, ResultStore
-from .telemetry import printer
+from .spec import FAULT_KINDS, FaultSpec
 
 #: Shorthand fault names accepted on the command line.
 _FAULT_ALIASES = {
@@ -36,26 +18,6 @@ _FAULT_ALIASES = {
     "failure": "switch_failure",
     "port": "tor_port_failure",
 }
-
-
-def parse_seeds(text: str) -> List[int]:
-    """``"0-3"`` or ``"1,5,9"`` (mixes allowed: ``"0-2,7"``)."""
-    seeds: List[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part[1:]:  # allow a leading minus sign
-            lo_text, hi_text = part.rsplit("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"descending seed range {part!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
-    return seeds
 
 
 def parse_fault(text: str) -> FaultSpec:
@@ -85,85 +47,7 @@ def parse_fault(text: str) -> FaultSpec:
     return FaultSpec(**kwargs)
 
 
-def add_sweep_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
-    p = sub.add_parser(
-        "sweep",
-        help="parallel (stack x seed) experiment sweep with result caching",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("--stacks", default="solar,luna",
-                   help="comma list of stacks (default: solar,luna)")
-    p.add_argument("--seeds", default="0-3",
-                   help="seed list/range, e.g. 0-3 or 1,5,9 (default: 0-3)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: $REPRO_JOBS or 1)")
-    p.add_argument("--workload", choices=("fio", "isolated"), default="fio")
-    p.add_argument("--iodepth", type=int, default=16)
-    p.add_argument("--runtime-ms", type=float, default=12.0,
-                   help="fio issue window in simulated ms (default: 12)")
-    p.add_argument("--block-sizes-kb", default="4,16",
-                   help="comma list of block sizes in KB (default: 4,16)")
-    p.add_argument("--read-fraction", type=float, default=0.3)
-    p.add_argument("--pattern", choices=("random", "sequential", "zipfian"),
-                   default="random")
-    p.add_argument("--count", type=int, default=200,
-                   help="isolated mode: number of paced I/Os")
-    p.add_argument("--size-kb", type=int, default=4,
-                   help="isolated mode: I/O size in KB")
-    p.add_argument("--fault", action="append", default=[], metavar="SPEC",
-                   help="kind:target:param@start_ms[-end_ms]; repeatable "
-                        "(e.g. blackhole:spine:0.5@10)")
-    p.add_argument("--vd-size-mb", type=int, default=256)
-    p.add_argument("--name", default="sweep")
-    p.add_argument("--store", default=DEFAULT_STORE_DIR,
-                   help=f"result store directory (default: {DEFAULT_STORE_DIR})")
-    p.add_argument("--no-store", action="store_true",
-                   help="do not read or write the result store")
-    p.add_argument("--force", action="store_true",
-                   help="re-simulate even when cached results exist")
-    p.add_argument("--json", action="store_true", dest="as_json",
-                   help="emit a machine-readable JSON summary")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-point progress lines")
-    return p
-
-
-def build_specs(args: argparse.Namespace) -> List[ExperimentSpec]:
-    stacks = [s.strip() for s in args.stacks.split(",") if s.strip()]
-    for stack in stacks:
-        if stack not in STACKS:
-            raise ValueError(f"unknown stack {stack!r}; one of {STACKS}")
-    if args.workload == "fio":
-        workload = WorkloadSpec(
-            mode="fio",
-            block_sizes=tuple(
-                int(float(kb) * 1024) for kb in args.block_sizes_kb.split(",")
-            ),
-            iodepth=args.iodepth,
-            read_fraction=args.read_fraction,
-            runtime_ns=int(args.runtime_ms * MS),
-            pattern=args.pattern,
-        )
-    else:
-        workload = WorkloadSpec(
-            mode="isolated", count=args.count, size_bytes=args.size_kb * 1024
-        )
-    base = ExperimentSpec(
-        deployment=DeploymentSpec(
-            compute_racks=1, compute_hosts_per_rack=2,
-            storage_racks=2, storage_hosts_per_rack=4,
-        ),
-        workload=workload,
-        faults=tuple(parse_fault(f) for f in args.fault),
-        seeds=tuple(parse_seeds(args.seeds)),
-        name=args.name,
-        vd_size_mb=args.vd_size_mb,
-    )
-    return stack_sweep(base, stacks)
-
-
-def _format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -175,63 +59,3 @@ def _format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     out = [line(headers), line(["-" * w for w in widths])]
     out.extend(line(row) for row in rows)
     return "\n".join(out)
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        specs = build_specs(args)
-        jobs = args.jobs if args.jobs is not None else default_jobs()
-    except ValueError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
-    store = None if args.no_store else ResultStore(args.store)
-    progress = None if (args.quiet or args.as_json) else printer()
-    try:
-        result = run_sweep(
-            specs,
-            jobs=jobs,
-            store=store,
-            force=args.force,
-            progress=progress,
-        )
-    except RuntimeError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 1
-
-    aggregates = result.aggregates()
-    if args.as_json:
-        print(json.dumps({
-            "telemetry": result.telemetry.as_dict(),
-            "store": store.root if store else None,
-            "digests": result.digests(),
-            "experiments": [
-                {
-                    "name": agg.name,
-                    "stack": agg.stack,
-                    "seeds": list(agg.seeds),
-                    "completed": agg.completed,
-                    "failed": agg.failed,
-                    "hangs": agg.hangs,
-                    "mean_us": round(agg.mean_us_ci[0], 2),
-                    "ci95_us": round(agg.mean_us_ci[1], 2),
-                    "p50_us": round(agg.latency.p(50) / 1000, 2),
-                    "p99_us": round(agg.latency.p(99) / 1000, 2),
-                    "iops": round(agg.iops, 1),
-                    "components_us": {
-                        k: round(v, 2) for k, v in agg.component_means_us.items()
-                    },
-                }
-                for agg in aggregates
-            ],
-        }, indent=2, sort_keys=True))
-    else:
-        print()
-        print(_format_table(
-            SpecAggregate.ROW_HEADERS, [agg.row() for agg in aggregates]
-        ))
-        print()
-        print(result.telemetry.summary())
-        if store is not None:
-            print(f"artifacts: {store.root} ({store.writes} written, "
-                  f"{store.hits} cache hits)")
-    return 0

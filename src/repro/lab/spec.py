@@ -32,6 +32,7 @@ from ..net.failures import (
     tor_port_failure,
 )
 from ..sim import MS, SECOND, US
+from ..workloads.fio import FioSpec
 
 #: Bump when the artifact layout changes: old cache entries stop matching.
 #: v5: trace workloads gained ``size_scale`` and are hang-watched at issue
@@ -95,8 +96,10 @@ class WorkloadSpec:
         if self.mode not in WORKLOAD_MODES:
             raise ValueError(f"mode must be one of {WORKLOAD_MODES}, got {self.mode!r}")
         if self.mode == "fio":
-            if self.iodepth < 1:
-                raise ValueError(f"iodepth must be >= 1, got {self.iodepth}")
+            # The job's own checks (iodepth, block sizes, read fraction,
+            # pattern), at spec time rather than inside the point.
+            FioSpec(block_sizes=self.block_sizes, iodepth=self.iodepth,
+                    read_fraction=self.read_fraction, pattern=self.pattern)
             if self.runtime_ns <= 0:
                 raise ValueError(f"runtime_ns must be positive, got {self.runtime_ns}")
         if self.mode == "isolated":

@@ -14,7 +14,8 @@ swarming from every surviving replica at once.
 * :mod:`~repro.rebuild.throttle` — static-cap, deadline-paced and
   foreground-latency-reactive policies;
 * :mod:`~repro.rebuild.drill` — the packaged experiment behind
-  ``python -m repro rebuild`` and ``RebuildSpec`` lab points.
+  ``RebuildSpec`` lab points (``python -m repro run
+  examples/specs/rebuild.json``).
 """
 
 from .executor import RebuildExecutor

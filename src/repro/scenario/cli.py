@@ -3,19 +3,16 @@
 Five verbs::
 
     python -m repro scenario list
-    python -m repro scenario run incast-burst rebuild-storm
-    python -m repro scenario run --all --jobs 4
     python -m repro scenario run --trace boot.trace.gz --stack luna
     python -m repro scenario record incast-burst --out incast.trace.gz
     python -m repro scenario import msr.csv --format msr --out msr.trace.gz
     python -m repro scenario verify incast.trace.gz
 
-``run`` executes catalog scenarios (or envelope files, or ad-hoc traces)
-through the lab and gates every point on the scenario's SLO; the report
-is canonical JSON, byte-identical across job counts.  Exit status 3
-signals an SLO violation (matching the chaos harness's convention);
-2 is a load/usage error.  Envelope files of ``kind: "chaos"`` delegate
-to the chaos replayer, so one verb replays either kind.
+``run`` replays an ad-hoc fleet trace through the lab and gates every
+point on completion; the report is canonical JSON, byte-identical across
+``REPRO_JOBS`` values.  Exit status 3 signals an SLO violation; 2 is a
+load/usage error.  Catalog scenarios and envelope files of either kind
+run through ``python -m repro run``.
 """
 
 from __future__ import annotations
@@ -33,8 +30,8 @@ from .importers import IMPORT_FORMATS, ImportOptions, import_trace
 from .run import record_scenario, run_scenario
 from .trace import FleetTrace, TraceFormatError
 
-#: Exit status for "an SLO gate failed / a chaos invariant reproduced"
-#: (same contract as ``python -m repro chaos``).
+#: Exit status for "an SLO gate failed" (same contract as ``python -m
+#: repro run``).
 EXIT_VIOLATION = 3
 
 
@@ -53,17 +50,11 @@ def add_scenario_parser(sub: argparse._SubParsersAction) -> None:
     verbs.add_parser("list", help="catalog scenarios with digests and gates")
 
     p_run = verbs.add_parser(
-        "run", help="run scenarios and gate their SLOs (exit 3 on failure)"
+        "run", help="replay a fleet trace as an ad-hoc scenario "
+                    "(exit 3 on failure)"
     )
-    p_run.add_argument("names", nargs="*", metavar="NAME",
-                       help="catalog scenario names")
-    p_run.add_argument("--all", action="store_true",
-                       help="run every catalog scenario")
-    p_run.add_argument("--file", metavar="FILE",
-                       help="run a scenario envelope file instead "
-                            "(chaos-kind files replay through repro.chaos)")
-    p_run.add_argument("--trace", metavar="FILE",
-                       help="run a fleet-trace file as an ad-hoc scenario")
+    p_run.add_argument("--trace", metavar="FILE", required=True,
+                       help="fleet-trace file to replay")
     p_run.add_argument("--stack", choices=STACKS, default="solar",
                        help="--trace: frontend stack to replay on")
     p_run.add_argument("--rate-scale", type=float, default=1.0,
@@ -72,8 +63,6 @@ def add_scenario_parser(sub: argparse._SubParsersAction) -> None:
                        help="--trace: I/O size multiplier (default 1.0)")
     p_run.add_argument("--max-records", type=int, default=None,
                        help="--trace: replay only the first N records")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: $REPRO_JOBS or 1)")
 
     p_rec = verbs.add_parser(
         "record", help="record a catalog scenario's I/O envelope as a trace"
@@ -126,63 +115,33 @@ def _list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _gather(args: argparse.Namespace):
-    """The Scenario list one ``run`` invocation asks for."""
-    if args.file:
-        return [load_envelope(args.file)]
-    if args.trace:
+def _run(args: argparse.Namespace) -> int:
+    try:
         trace = FleetTrace.load(args.trace)
         if args.max_records is not None:
             trace = trace.subset(args.max_records)
-        name = f"{trace.name}@{args.stack}"
-        return [
-            trace_scenario(
-                name,
-                f"ad-hoc replay of {args.trace}",
-                trace,
-                stack=args.stack,
-                vd_size_mb=max(m.vd_size_mb for m in trace.meta.values()),
-                # Ad-hoc replays gate only on completion: imported corpora
-                # carry no calibrated latency envelope.
-                slo=SloGate(min_completed_fraction=0.99),
-                rate_scale=args.rate_scale,
-                size_scale=args.size_scale,
-            )
-        ]
-    names = catalog_names() if getattr(args, "all", False) else args.names
-    if not names:
-        raise ValueError("nothing to run: give scenario names, --all, "
-                         "--file or --trace")
-    return [get_scenario(name) for name in names]
-
-
-def _run(args: argparse.Namespace) -> int:
-    try:
-        scenarios = _gather(args)
+        scenario = trace_scenario(
+            f"{trace.name}@{args.stack}",
+            f"ad-hoc replay of {args.trace}",
+            trace,
+            stack=args.stack,
+            vd_size_mb=max(m.vd_size_mb for m in trace.meta.values()),
+            # Ad-hoc replays gate only on completion: imported corpora
+            # carry no calibrated latency envelope.
+            slo=SloGate(min_completed_fraction=0.99),
+            rate_scale=args.rate_scale,
+            size_scale=args.size_scale,
+        )
     except (OSError, ValueError, KeyError, TraceFormatError) as exc:
         print(f"scenario: {exc}", file=sys.stderr)
         return 2
-    worst = 0
-    for scenario in scenarios:
-        if not isinstance(scenario, Scenario):
-            # A chaos-kind envelope: delegate to the chaos replayer so one
-            # verb replays either kind of the unified format.
-            from ..chaos.harness import replay_scenario
-
-            report = replay_scenario(scenario)
-            print(canonical_json(report).decode().rstrip("\n"))
-            if report["violations"]:
-                worst = EXIT_VIOLATION
-            continue
-        report = run_scenario(scenario, jobs=args.jobs)
-        print(canonical_json(report).decode().rstrip("\n"))
-        if not report["pass"]:
-            worst = EXIT_VIOLATION
-            for point in report["points"]:
-                for failure in point["slo_failures"]:
-                    print(f"scenario: {scenario.name} seed={point['seed']}: "
-                          f"{failure}", file=sys.stderr)
-    return worst
+    report = run_scenario(scenario)
+    print(canonical_json(report).decode().rstrip("\n"))
+    for point in report["points"]:
+        for failure in point["slo_failures"]:
+            print(f"scenario: {scenario.name} seed={point['seed']}: "
+                  f"{failure}", file=sys.stderr)
+    return 0 if report["pass"] else EXIT_VIOLATION
 
 
 def _record(args: argparse.Namespace) -> int:

@@ -8,7 +8,8 @@ this package) serialize into the same JSON envelope::
 
 :func:`load_envelope` sniffs the kind and returns the right object;
 callers that only accept one kind dispatch on the returned type.
-Version-1 files — the pre-envelope chaos-only layout the harness wrote
+:func:`spec_kind` extends the sniffing to every spec file ``python -m
+repro run`` reads.  Version-1 files — the pre-envelope chaos-only layout the harness wrote
 before the scenario plane existed — still load (as chaos), with their
 digests unchanged.
 """
@@ -43,14 +44,42 @@ def envelope_kind(payload: Dict[str, Any]) -> str:
     return kind
 
 
-def load_envelope(path: Union[str, Path]):
-    """Load one scenario file of either kind.
+#: The key each spec-file kind must have at its top level.
+_SPEC_MARKERS = {"version": "envelope", "deployments": "fleet", "deployment": "lab"}
 
-    Returns a :class:`~repro.scenario.catalog.Scenario` or a
+
+def spec_kind(payload: Any) -> str:
+    """The kind of a parsed spec file: ``"lab"`` (an experiment spec, or
+    a JSON list of them), ``"fleet"``, or an envelope's ``"chaos"`` /
+    ``"workload"``.  Read off the one marker key the kind must have; a
+    payload with none or several is refused rather than guessed."""
+    if isinstance(payload, list):
+        if payload and all(isinstance(item, dict) and spec_kind(item) == "lab"
+                           for item in payload):
+            return "lab"
+        raise ValueError("a spec list must hold one or more lab experiment specs")
+    if not isinstance(payload, dict):
+        raise ValueError(f"a spec must be a JSON object or list, got {type(payload).__name__}")
+    markers = [key for key in _SPEC_MARKERS if key in payload]
+    if len(markers) != 1:
+        raise ValueError(
+            f"cannot tell the spec kind: it needs exactly one of the keys "
+            f"{sorted(_SPEC_MARKERS)}, found {sorted(markers)}"
+        )
+    kind = _SPEC_MARKERS[markers[0]]
+    return envelope_kind(payload) if kind == "envelope" else kind
+
+
+def load_envelope(path: Union[str, Path]):
+    """Load one scenario file of either kind (see :func:`envelope_from_dict`)."""
+    return envelope_from_dict(json.loads(Path(path).read_text()))
+
+
+def envelope_from_dict(payload: Any):
+    """A :class:`~repro.scenario.catalog.Scenario` or a
     :class:`~repro.chaos.scenario.ChaosScenario`; both are digest-
     verified on load.
     """
-    payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError(
             f"scenario file must hold a JSON object, got "

@@ -26,6 +26,7 @@ import sys
 from typing import Optional
 
 from ..ebs import DeploymentSpec, STACKS
+from ..lab.cli import format_table, parse_fault
 from ..lab.rig import Rig
 from ..lab.spec import ExperimentSpec, TelemetrySpec, WorkloadSpec
 from ..sim import MS
@@ -79,20 +80,6 @@ def add_monitor_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentPars
     return p
 
 
-def _format_table(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-
-    def line(cells) -> str:
-        return "  ".join(str(c).ljust(w) for c, w in zip(cells, widths))
-
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)
-
-
 def _dashboard_line(plane: TelemetryPlane, snapshot: Snapshot) -> str:
     row = plane.fleet_row(snapshot)
     p50 = "-" if row["p50_us"] is None else f"{row['p50_us']:.1f}us"
@@ -106,8 +93,6 @@ def _dashboard_line(plane: TelemetryPlane, snapshot: Snapshot) -> str:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    from ..lab.cli import parse_fault  # shared fault grammar
-
     try:
         faults = tuple(parse_fault(text) for text in args.fault)
         block_sizes = tuple(
@@ -189,7 +174,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             "-" if not hist.count else f"{hist.percentile(99) / 1000:.1f}",
             str(telemetry["slow_io"]["hangs_by_node"].get(vd.vd_id, 0)),
         ])
-    print(_format_table(
+    print(format_table(
         ["vd", "host", "reads", "writes", "done", "p50 us", "p99 us", "hangs"],
         rows,
     ))

@@ -37,6 +37,8 @@ class FioSpec:
             raise ValueError(f"iodepth must be >= 1, got {self.iodepth}")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError(f"read fraction out of range: {self.read_fraction}")
+        if not self.block_sizes:
+            raise ValueError("need at least one block size")
         if any(b <= 0 or b % BLOCK_SIZE for b in self.block_sizes):
             raise ValueError(f"block sizes must be positive multiples of {BLOCK_SIZE}")
         if self.pattern not in ("random", "sequential", "zipfian"):

@@ -332,15 +332,15 @@ class TestMachine:
 class TestChaosCli:
     def test_replay_exit_zero_and_json(self, capsys):
         path = str(SCENARIO_FILES[0])
-        assert main(["chaos", "--replay", path]) == 0
+        assert main(["run", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["violations"] == []
 
     def test_replay_deterministic_output(self, capsys):
         path = str(SCENARIO_FILES[0])
-        main(["chaos", "--replay", path])
+        main(["run", path])
         first = capsys.readouterr().out
-        main(["chaos", "--replay", path])
+        main(["run", path])
         assert capsys.readouterr().out == first
 
     def test_hunt_smoke_exit_zero(self, capsys):
@@ -355,12 +355,13 @@ class TestChaosCli:
         payload["actions"].append({"rule": "advance", "args": {"ticks": 1}})
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(payload))
-        assert main(["chaos", "--replay", str(bad)]) == 2
+        assert main(["run", str(bad)]) == 2
         assert "digest mismatch" in capsys.readouterr().err
 
     def test_missing_file_rejected(self, tmp_path, capsys):
-        assert main(["chaos", "--replay", str(tmp_path / "nope.json")]) == 2
-        assert "cannot load scenario" in capsys.readouterr().err
+        path = str(tmp_path / "nope.json")
+        assert main(["run", path]) == 2
+        assert f"cannot load {path!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override",
@@ -376,5 +377,5 @@ class TestChaosCli:
             config={**ChaosConfig().to_dict(), **override},
             actions=[ChaosAction("advance", {"ticks": 1})],
         ).save(path)
-        assert main(["chaos", "--replay", str(path)]) == 2
-        assert "cannot load scenario" in capsys.readouterr().err
+        assert main(["run", str(path)]) == 2
+        assert f"cannot load {str(path)!r}" in capsys.readouterr().err

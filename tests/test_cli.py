@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
+import repro.run as repro_run
 from repro.__main__ import main
+from repro.lab.spec import ExperimentSpec, canonical_json
+from repro.run import load_spec, parse_set
 
 
 class TestCli:
@@ -64,16 +71,22 @@ class TestCli:
         assert watched >= 1
 
 
+SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
+SCENARIOS = Path(__file__).resolve().parent / "scenarios"
+
+
 def sweep_args(seeds="0,1", *extra):
     return [
-        "sweep", "--stacks", "solar", "--seeds", seeds, "--jobs", "2",
-        "--iodepth", "4", "--runtime-ms", "1", "--block-sizes-kb", "4",
-        "--vd-size-mb", "64", "--name", "clitest", *extra,
+        "run", str(SPECS / "ci-sweep.json"), "--set", f"seeds=[{seeds}]",
+        "--set", "workload.block_sizes=[4096]", "--set", "name=clitest/solar",
+        *extra,
     ]
 
 
 class TestSweepCli:
-    def test_sweep_simulates_then_serves_from_cache(self, tmp_path, capsys):
+    def test_sweep_simulates_then_serves_from_cache(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
         args = sweep_args("0,1", "--store", str(tmp_path / "lab"))
         assert main(args) == 0
         first = capsys.readouterr().out
@@ -90,19 +103,20 @@ class TestSweepCli:
                        if line.startswith("clitest/solar")]
 
     def test_sweep_json_output(self, tmp_path, capsys):
-        import json
-
         args = sweep_args("0", "--store", str(tmp_path / "lab"), "--json")
         assert main(args) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["telemetry"]["total"] == 1
-        assert payload["experiments"][0]["stack"] == "solar"
-        assert payload["experiments"][0]["completed"] > 0
-        assert len(payload["digests"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1  # one artifact per point
+        artifact = json.loads(lines[0])
+        assert artifact["stack"] == "solar"
+        assert artifact["completed"] > 0
+        assert canonical_json(artifact).decode().rstrip("\n") == lines[0]
 
     def test_sweep_rejects_unknown_stack(self, capsys):
-        assert main(["sweep", "--stacks", "quic", "--no-store"]) == 2
-        assert "unknown stack" in capsys.readouterr().err
+        assert main(sweep_args("0", "--set", "deployment.stack=quic",
+                               "--no-store")) == 2
+        err = capsys.readouterr().err
+        assert "stack must be one of" in err and "quic" in err
 
     def test_sweep_no_store_skips_artifacts(self, capsys):
         assert main(sweep_args("0", "--no-store")) == 0
@@ -112,14 +126,14 @@ class TestSweepCli:
 
 def upgrade_args(*extra):
     return [
-        "upgrade", "--from", "kernel", "--to", "luna", "--servers", "4",
-        "--waves", "2", "--vd-size-mb", "32", *extra,
+        "run", str(SPECS / "upgrade.json"), "--set", "upgrade.servers=4",
+        "--set", "upgrade.waves=2", "--set", "vd_size_mb=32", *extra,
     ]
 
 
 class TestUpgradeCli:
     def test_upgrade_drill_runs_clean(self, capsys):
-        assert main(upgrade_args("--seed", "42", "--no-store")) == 0
+        assert main(upgrade_args("--set", "seeds=[42]", "--no-store")) == 0
         out = capsys.readouterr().out
         assert "rolling upgrade kernel -> luna" in out
         assert "availability" in out
@@ -129,7 +143,7 @@ class TestUpgradeCli:
         assert "baseline" in out and "settle" in out
 
     def test_upgrade_served_from_cache_second_time(self, tmp_path, capsys):
-        args = upgrade_args("--seed", "7", "--store", str(tmp_path / "lab"))
+        args = upgrade_args("--set", "seeds=[7]", "--store", str(tmp_path / "lab"))
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "1 written" in first
@@ -141,20 +155,124 @@ class TestUpgradeCli:
         assert tail(first) == tail(second)
 
     def test_upgrade_json_output(self, capsys):
-        import json
-
-        assert main(upgrade_args("--seed", "0", "--no-store", "--json")) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["hangs"] == 0
-        assert payload["consistent"] is True
-        seed = payload["seeds"][0]
-        assert seed["terminal_mix"]["luna"] == 1.0
-        assert len(seed["waves"]) == 4
-        assert all(0.9 <= w["availability"] <= 1.0 for w in seed["waves"])
+        # Exit 0: no hung I/O and consistent with the analytic rollout.
+        assert main(upgrade_args("--set", "seeds=[0]", "--no-store", "--json")) == 0
+        artifact = json.loads(capsys.readouterr().out)
+        assert artifact["hangs"] == 0
+        assert artifact["waves"][-1]["mix"]["luna"] == 1.0
+        assert len(artifact["waves"]) == 4
+        assert all(0.9 <= w["availability"] <= 1.0 for w in artifact["waves"])
 
     def test_upgrade_rejects_backward_rollout(self, capsys):
-        # argparse constrains --from/--to choices, so exercise the spec
-        # validation through equal stacks.
-        assert main(["upgrade", "--from", "luna", "--to", "luna",
-                     "--no-store"]) == 2
+        assert main(upgrade_args("--set", "upgrade.from_stack=luna",
+                                 "--no-store")) == 2
         assert "forward" in capsys.readouterr().err
+
+    def test_inconsistent_rollout_exits_3(self, capsys, monkeypatch):
+        # An upgrade that disagrees with the analytic rollout is a
+        # violation, even in text mode and with no hung I/O.
+        monkeypatch.setattr(repro_run, "check_rollout_consistency",
+                            lambda result: ["wave 2 regressed"])
+        assert main(upgrade_args("--set", "seeds=[42]", "--no-store")) == 3
+        captured = capsys.readouterr()
+        assert "0 hung" in captured.out
+        assert "wave 2 regressed" in captured.err
+
+
+class TestRunLoader:
+    @pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_example_specs_load_and_validate(self, path):
+        kind, spec = load_spec(str(path), [])
+        assert kind == ("fleet" if "fleet" in path.name else "lab")
+        assert spec
+
+    def test_unknown_key_exits_2(self, capsys):
+        assert main(sweep_args("0", "--set", "workload.bogus=1")) == 2
+        assert "unknown key 'workload.bogus'" in capsys.readouterr().err
+
+    def test_set_on_an_envelope_exits_2(self, capsys):
+        path = str(sorted(SCENARIOS.glob("*.json"))[0])
+        assert main(["run", path, "--set", "name=x"]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "chaos envelope" in err
+
+    def test_set_on_a_catalog_name_exits_2(self, capsys):
+        assert main(["run", "incast-burst", "--set", "name=x"]) == 2
+        assert "catalog scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        {"deployment": {}, "deployments": []},
+        {"version": 2, "deployment": {}},
+        {"workload": {}},
+        [],
+        "solar",
+    ], ids=["lab+fleet", "envelope+lab", "no-marker", "empty-list", "string"])
+    def test_ambiguous_or_unknown_file_exits_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_missing_file_and_unknown_name_exit_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "nope.json")]) == 2
+        assert "no such spec file" in capsys.readouterr().err
+        assert main(["run", "no-such-scenario"]) == 2
+        assert "unknown scenario" in capsys.readouterr().err
+
+    def test_set_edits_the_digest_as_a_hand_built_spec(self, capsys):
+        path = SPECS / "ci-sweep.json"
+        by_hand = dataclasses.replace(
+            ExperimentSpec.from_json(path.read_text()), vd_size_mb=32)
+        assert main(["run", str(path), "--set", "vd_size_mb=32",
+                     "--no-store", "--json"]) == 0
+        artifact = json.loads(capsys.readouterr().out)
+        assert artifact["digest"] == by_hand.point_digest(0)
+        unedited = ExperimentSpec.from_json(path.read_text())
+        assert artifact["digest"] != unedited.point_digest(0)
+
+    def test_set_value_falls_back_to_a_string(self):
+        assert parse_set("name=sweep/x") == (["name"], "sweep/x")
+        assert parse_set("seeds=[1,2]") == (["seeds"], [1, 2])
+        assert parse_set("a.b=0.5") == (["a", "b"], 0.5)
+        with pytest.raises(ValueError):
+            parse_set("novalue")
+
+
+class TestRunExecution:
+    def test_fleet_json_is_independent_of_workers(self, capsys, monkeypatch):
+        documents = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("REPRO_JOBS", workers)
+            assert main(["run", str(SPECS / "ci-fleet.json"), "--json"]) == 0
+            documents.append(capsys.readouterr().out)
+        assert documents[0] == documents[1]
+        doc = json.loads(documents[0])
+        assert not {"wall_s", "events_per_sec", "shards"} & set(doc)
+        assert doc["summary"]["completed"] > 0
+
+    def test_check_verifies_a_lab_spec(self, tmp_path, capsys):
+        assert main(sweep_args("0", "--store", str(tmp_path / "lab"),
+                               "--check", "--quiet")) == 0
+        assert "determinism   verified" in capsys.readouterr().out
+
+    def test_check_mismatch_exits_3(self, capsys, monkeypatch):
+        calls = []
+
+        def flaky(spec, jobs):
+            calls.append(jobs)
+            return repro_run.Outcome(f"{len(calls)}\n", 0, lambda: None, [])
+
+        monkeypatch.setattr(repro_run, "_run_workload", flaky)
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert main(["run", "incast-burst", "--check"]) == 3
+        assert "DETERMINISM MISMATCH" in capsys.readouterr().err
+        assert calls == [3, 1]  # the rerun is in-process
+
+    def test_several_specs_exit_with_the_largest_status(self, capsys, monkeypatch):
+        statuses = iter([2, 0])
+        monkeypatch.setattr(repro_run, "_run_chaos", lambda spec: (
+            repro_run.Outcome("{}\n", next(statuses), lambda: None, [])))
+        first, second = sorted(SCENARIOS.glob("*.json"))[:2]
+        assert main(["run", str(first), str(second), "--json"]) == 2
+        assert capsys.readouterr().out == "{}\n{}\n"

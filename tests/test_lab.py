@@ -89,6 +89,22 @@ class TestSpec:
         with pytest.raises(ValueError):
             FaultSpec(kind="random_drop", start_ns=10, end_ns=5)
 
+    @pytest.mark.parametrize("fields", [
+        {"block_sizes": ()},
+        {"block_sizes": (1000,)},
+        {"block_sizes": (4096, 0)},
+        {"read_fraction": 1.5},
+        {"read_fraction": -0.1},
+        {"pattern": "zzz"},
+        {"iodepth": 0},
+        {"runtime_ns": 0},
+    ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+    def test_fio_workload_refused_when_built(self, fields):
+        # The job's own checks run when the spec is built, so a bad
+        # value fails at load time instead of inside the point.
+        with pytest.raises(ValueError):
+            WorkloadSpec(mode="fio", **fields)
+
     def test_stack_sweep_names(self):
         specs = stack_sweep(small_spec(name="t"), ["luna", "solar"])
         assert [s.name for s in specs] == ["t/luna", "t/solar"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -430,14 +431,23 @@ class TestDrillOnTheRig:
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+REBUILD_SPEC = Path(__file__).resolve().parent.parent / "examples" / "specs" / "rebuild.json"
+
+
+def rebuild_args(*extra):
+    """``run`` on the committed rebuild spec, shrunk to CI's drill."""
+    return [
+        "run", str(REBUILD_SPEC), "--set", "rebuild.node_index=1",
+        "--set", "vd_size_mb=8", "--set", "workload.runtime_ns=20000000",
+        "--no-store", *extra,
+    ]
+
+
 class TestRebuildCli:
     def test_cli_json_is_canonical_and_exits_zero(self, capsys):
         from repro.__main__ import main
 
-        code = main([
-            "rebuild", "--node-index", "1", "--vd-mb", "8",
-            "--runtime-ms", "20", "--fail-at-ms", "5", "--json",
-        ])
+        code = main(rebuild_args("--json"))
         assert code == 0
         out = capsys.readouterr().out
         artifact = json.loads(out)
@@ -447,10 +457,8 @@ class TestRebuildCli:
     def test_cli_human_summary(self, capsys):
         from repro.__main__ import main
 
-        code = main([
-            "rebuild", "--node-index", "1", "--vd-mb", "8",
-            "--runtime-ms", "20", "--policy", "reactive", "--mode", "swarm",
-        ])
+        code = main(rebuild_args("--set", "rebuild.policy=reactive",
+                                 "--set", "rebuild.mode=swarm"))
         assert code == 0
         out = capsys.readouterr().out
         assert "reactive/swarm" in out and "recovery" in out
