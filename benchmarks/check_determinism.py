@@ -79,7 +79,7 @@ from repro.workloads import FioJob, FioSpec
 KERNEL_EVENTS = 1_106_310
 KERNEL_IOS = 18_127
 
-FLEET_DIGEST = "92f23367aaecbf112097bf9723f94cf331d4fb28f18036e26895c2b944dd5ea4"
+FLEET_DIGEST = "e2d41a2a7235427e24d996c01d70f65120015e86c40b75c476cc4a7c1c3bd891"
 FLEET_EVENTS = 170_499
 FLEET_IOS = 3_257
 FLEET_WORKERS = (1, 2)
@@ -112,7 +112,7 @@ REPLAY_DIGESTS = {
 
 #: ``run examples/specs/ci-fleet.json --json``: the fleet digest, equal
 #: at every worker count.
-CI_FLEET_DIGEST = "538b4f3d64ae63fdc55a7fad5423d1a6f2d9395e0b314d36a538ea0c34bfc86c"
+CI_FLEET_DIGEST = "23b1f048813c424f04813b62926622a21bafd02b8bc9a8d9e93aba2824f938a5"
 CI_FLEET_WORKERS = (1, 4)
 
 #: The quick subcommands whose stdout and exit status are pinned.

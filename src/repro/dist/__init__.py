@@ -12,10 +12,9 @@ artifacts.  The fleet digest is byte-identical for every worker count.
 """
 
 from .coordinator import FleetResult, run_fleet
-from .fleet import FleetDeployment, FleetEvent, FleetSpec, reference_fleet
+from .fleet import FleetEvent, FleetSpec, reference_fleet
 
 __all__ = [
-    "FleetDeployment",
     "FleetEvent",
     "FleetSpec",
     "FleetResult",

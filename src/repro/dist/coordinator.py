@@ -6,7 +6,7 @@ at ``at_ns + crossing_ns`` carrying its event's own fields — so every
 deployment is built with its inbound effects already scheduled and runs
 alone (:func:`~repro.dist.shardsim.run_deployment`).  The coordinator
 only fans the deployments out with :func:`repro.lab.runner.map_parallel`
-and merges the artifacts; routed and dropped counts come from the spec.
+and merges the artifacts.
 
 Everything that affects the artifacts is a pure function of the spec,
 so the result digest is byte-identical for every worker count.  What
@@ -44,12 +44,16 @@ class FleetResult:
     summary: Dict[str, Any]
     #: sha256 over the simulated content — the determinism anchor.
     digest: str
-    #: Always 1: each deployment runs to the horizon in one go.
-    windows: int
-    messages_routed: int
-    messages_dropped: int
     events_processed: int
     wall_s: float
+    #: Always 1: each deployment runs to the horizon in one go.
+    windows = 1
+    #: Always 0: the spec refuses an event whose effect lands past the horizon.
+    messages_dropped = 0
+
+    @property
+    def messages_routed(self) -> int:
+        return len(self.spec.events)
 
     @property
     def events_per_sec(self) -> float:
@@ -71,8 +75,7 @@ class FleetResult:
         }
 
 
-def _digest(spec: FleetSpec, artifacts: List[Dict[str, Any]],
-            routed: int, dropped: int) -> str:
+def _digest(spec: FleetSpec, artifacts: List[Dict[str, Any]]) -> str:
     """Content address of the simulated outcome.  Wall-clock and
     worker count are deliberately excluded — two runs of the same spec
     must collide regardless of machine or worker count."""
@@ -80,13 +83,11 @@ def _digest(spec: FleetSpec, artifacts: List[Dict[str, Any]],
         "schema": FLEET_SCHEMA_VERSION,
         "spec": spec.digest(),
         "artifacts": artifacts,
-        "messages_routed": routed,
-        "messages_dropped": dropped,
     }
     return hashlib.sha256(canonical_json(material)).hexdigest()
 
 
-def _summarize(spec: FleetSpec, artifacts: List[Dict[str, Any]]) -> Dict[str, Any]:
+def _summarize(artifacts: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fleet rollup: counter sums plus merged-latency quantiles.  The
     merge is the telemetry plane's own sketch merge — per-deployment
     sketches combine into one fleet sketch without resampling."""
@@ -146,17 +147,12 @@ def run_fleet(
         on_result=on_result if progress is not None else None,
     )
     wall_s = time.perf_counter() - started
-    routed = sum(1 for event in spec.events if spec.delivered(event))
-    dropped = len(spec.events) - routed
     return FleetResult(
         spec=spec,
         shards=shards,
         artifacts=artifacts,
-        summary=_summarize(spec, artifacts),
-        digest=_digest(spec, artifacts, routed, dropped),
-        windows=1,
-        messages_routed=routed,
-        messages_dropped=dropped,
+        summary=_summarize(artifacts),
+        digest=_digest(spec, artifacts),
         events_processed=sum(a["events_processed"] for a in artifacts),
         wall_s=wall_s,
     )

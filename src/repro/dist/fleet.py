@@ -3,10 +3,11 @@
 A :class:`FleetSpec` is to the fleet plane what an
 :class:`~repro.lab.spec.ExperimentSpec` is to the lab: a frozen,
 canonically-serializable description of everything that can change the
-outcome.  It names a list of :class:`FleetDeployment`s — each one an
-independent EBS deployment under its own closed-loop fio load, always
-simulated in its **own** :class:`repro.sim.Simulator` — plus a schedule
-of :class:`FleetEvent`s whose effects cross deployment boundaries.
+outcome.  It names a list of deployments — each one a lab point, an
+:class:`~repro.lab.spec.ExperimentSpec` with one seed and a closed-loop
+fio load, always simulated in its **own** :class:`repro.sim.Simulator` —
+plus a schedule of :class:`FleetEvent`s whose effects cross deployment
+boundaries.
 
 A cross-deployment effect reads nothing from the simulation: it lands
 on ``dst`` at ``at_ns + crossing_ns`` carrying the event's own fields.
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from .. import __version__
-from ..lab.spec import canonical_json
+from ..ebs import DeploymentSpec
+from ..lab.spec import ExperimentSpec, WorkloadSpec, canonical_json
 from ..sim import MS
 
 #: Bump when fleet artifacts change shape — digests only compare within
@@ -36,43 +38,12 @@ EVENT_KINDS = ("node_fault", "migration", "incident")
 
 
 @dataclass(frozen=True)
-class FleetDeployment:
-    """One deployment of the fleet: shape, seed and foreground load.
-
-    The load is the closed-loop fio job described by ``block_sizes``/
-    ``iodepth``/``read_fraction``/``runtime_ns``.
-    """
-
-    stack: str = "solar"
-    seed: int = 0
-    compute_racks: int = 1
-    compute_hosts_per_rack: int = 2
-    storage_racks: int = 1
-    storage_hosts_per_rack: int = 4
-    vd_size_mb: int = 64
-    block_sizes: Tuple[int, ...] = (4096,)
-    iodepth: int = 8
-    read_fraction: float = 0.5
-    runtime_ns: int = 20 * MS
-
-    def __post_init__(self) -> None:
-        if self.iodepth < 1:
-            raise ValueError(f"iodepth must be >= 1, got {self.iodepth}")
-        if self.runtime_ns <= 0:
-            raise ValueError(f"runtime_ns must be positive: {self.runtime_ns}")
-        if self.vd_size_mb <= 0:
-            raise ValueError(f"vd_size_mb must be positive: {self.vd_size_mb}")
-        if not self.block_sizes:
-            raise ValueError("block_sizes cannot be empty")
-
-
-@dataclass(frozen=True)
 class FleetEvent:
     """One scheduled cross-deployment event.
 
     At ``at_ns`` the event fires *locally* in deployment ``src``; its
-    effect on deployment ``dst`` lands at ``at_ns + crossing_ns``, or
-    is dropped if that is past the fleet horizon:
+    effect on deployment ``dst`` lands at ``at_ns + crossing_ns``, which
+    the fleet requires to be within its horizon:
 
     * ``node_fault`` — ``src`` loses a storage node: it declares the
       incident, pays the rebuild *read* load against its surviving
@@ -123,15 +94,18 @@ class FleetEvent:
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """One named fleet: deployments x cross-deployment events."""
+    """One named fleet: deployments x cross-deployment events.
 
-    deployments: Tuple[FleetDeployment, ...] = ()
+    Each deployment is a lab point run to the fleet horizon, the longest
+    member runtime plus ``drain_ns``.  Names, the fleet's and its
+    members', are presentation-only.
+    """
+
+    deployments: Tuple[ExperimentSpec, ...] = ()
     events: Tuple[FleetEvent, ...] = ()
     name: str = "fleet"
     #: FN-fabric crossing latency for inter-deployment traffic.
     crossing_ns: int = 1 * MS
-    #: Absolute end of the run; None derives max runtime + drain slack.
-    horizon_ns: int | None = None
     #: Slack past the longest workload for in-flight I/O and spillover.
     drain_ns: int = 10 * MS
 
@@ -140,6 +114,19 @@ class FleetSpec:
             raise ValueError("a fleet needs at least one deployment")
         if self.crossing_ns <= 0:
             raise ValueError(f"crossing_ns must be positive: {self.crossing_ns}")
+        if self.drain_ns < 0:
+            raise ValueError(f"drain_ns cannot be negative: {self.drain_ns}")
+        for index, member in enumerate(self.deployments):
+            # A member runs to the fleet horizon, starts no telemetry
+            # plane and loads only its fio job: refuse what it would drop.
+            if len(member.seeds) != 1:
+                raise ValueError(f"deployment {index} needs exactly one seed: {member.seeds}")
+            if member.workload.mode != "fio":
+                raise ValueError(f"deployment {index} needs a fio workload, "
+                                 f"got {member.workload.mode!r}")
+            for knob in ("until_ns", "upgrade", "rebuild", "telemetry"):
+                if getattr(member, knob) is not None:
+                    raise ValueError(f"deployment {index} cannot set {knob} in a fleet")
         n = len(self.deployments)
         for event in self.events:
             if event.src >= n or event.dst >= n:
@@ -147,9 +134,9 @@ class FleetSpec:
                     f"event references deployment {max(event.src, event.dst)} "
                     f"but the fleet has only {n}"
                 )
-            if event.at_ns >= self.effective_horizon_ns:
+            if event.at_ns + self.crossing_ns > self.effective_horizon_ns:
                 raise ValueError(
-                    f"event at {event.at_ns}ns fires past the fleet horizon "
+                    f"event at {event.at_ns}ns lands past the fleet horizon "
                     f"({self.effective_horizon_ns}ns)"
                 )
             vd_mb = self.deployments[event.dst].vd_size_mb
@@ -158,25 +145,16 @@ class FleetSpec:
                     f"migration I/O of {event.size_kb}KB exceeds the "
                     f"{vd_mb}MB VD of deployment {event.dst}"
                 )
-        if self.drain_ns < 0:
-            raise ValueError(f"drain_ns cannot be negative: {self.drain_ns}")
 
     @property
     def effective_horizon_ns(self) -> int:
-        if self.horizon_ns is not None:
-            return self.horizon_ns
-        return max(d.runtime_ns for d in self.deployments) + self.drain_ns
-
-    def delivered(self, event: FleetEvent) -> bool:
-        """Whether ``event``'s effect lands on its destination before
-        the horizon (otherwise it is dropped, and counted as such)."""
-        return event.at_ns + self.crossing_ns <= self.effective_horizon_ns
+        """Where every member's run ends: the longest runtime plus the drain."""
+        return max(m.workload.runtime_ns for m in self.deployments) + self.drain_ns
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         d = dataclasses.asdict(self)
-        for dep in d["deployments"]:
-            dep["block_sizes"] = list(dep["block_sizes"])
+        d["deployments"] = [member.to_dict() for member in self.deployments]
         return d
 
     def to_json(self) -> str:
@@ -188,13 +166,9 @@ class FleetSpec:
         # callers can report a malformed spec file instead of crashing.
         try:
             d = dict(d)
-            deployments = []
-            for dep in d.pop("deployments"):
-                dep = dict(dep)
-                dep["block_sizes"] = tuple(dep["block_sizes"])
-                deployments.append(FleetDeployment(**dep))
+            deployments = tuple(ExperimentSpec.from_dict(m) for m in d.pop("deployments"))
             events = tuple(FleetEvent(**e) for e in d.pop("events"))
-            return cls(deployments=tuple(deployments), events=events, **d)
+            return cls(deployments=deployments, events=events, **d)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed fleet spec: {exc!r}") from exc
 
@@ -204,9 +178,11 @@ class FleetSpec:
 
     # -- content addressing ---------------------------------------------
     def digest(self) -> str:
-        """Content address of this fleet's result artifact."""
+        """Content address of this fleet's result artifact.  Members enter
+        by their lab point digest, so their names stay out too."""
         material = self.to_dict()
         material.pop("name")  # presentation-only
+        material["deployments"] = [m.point_digest(m.seeds[0]) for m in self.deployments]
         material["version"] = __version__
         material["schema"] = FLEET_SCHEMA_VERSION
         return hashlib.sha256(canonical_json(material)).hexdigest()
@@ -225,10 +201,16 @@ def reference_fleet(
     if deployments < 2:
         raise ValueError("the reference fleet needs >= 2 deployments")
     deps = tuple(
-        FleetDeployment(
-            stack="solar" if i % 2 == 0 else "luna",
-            seed=seed + i,
-            runtime_ns=runtime_ns,
+        ExperimentSpec(
+            deployment=DeploymentSpec(
+                stack="solar" if i % 2 == 0 else "luna",
+                compute_racks=1, compute_hosts_per_rack=2,
+                storage_racks=1, storage_hosts_per_rack=4,
+            ),
+            workload=WorkloadSpec(iodepth=8, read_fraction=0.5, runtime_ns=runtime_ns),
+            seeds=(seed + i,),
+            name=f"{name}/d{i}",
+            vd_size_mb=64,
         )
         for i in range(deployments)
     )

@@ -1,13 +1,13 @@
 """Deployment simulation: one fleet deployment as an independent point.
 
 Each deployment runs in its **own** :class:`~repro.sim.Simulator` — a
-:class:`DeploymentSim` bundles a :class:`~repro.lab.rig.Rig` (the EBS
-deployment, hang/health monitoring, the VD and its fio load) with the
-effects of the fleet's cross-deployment events.  Those effects are a
-function of the spec alone (an event lands on its destination at
-``at_ns + crossing_ns`` carrying its own fields), so both ends are
-scheduled when the deployment is built and the deployment then runs to
-the horizon without ever hearing from its peers.
+:class:`DeploymentSim` bundles the member's :class:`~repro.lab.rig.Rig`
+(the EBS deployment, hang/health monitoring, faults, the VD and its fio
+load) with the effects of the fleet's cross-deployment events.  Those
+effects are a function of the spec alone (an event lands on its
+destination at ``at_ns + crossing_ns`` carrying its own fields), so
+both ends are scheduled when the deployment is built and the deployment
+then runs to the horizon without ever hearing from its peers.
 
 :func:`run_deployment` is the point function: picklable arguments in,
 one JSON-ready artifact out, in whichever process runs it.
@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..ebs.deployment import DeploymentSpec
 from ..lab.rig import Rig
-from ..lab.spec import ExperimentSpec, WorkloadSpec
 from ..net.failures import switch_blackhole
 from ..rebuild.planner import spillover_schedule
 from ..telemetry.sketch import QuantileSketch
@@ -37,21 +35,8 @@ class DeploymentSim:
     def __init__(self, fleet: FleetSpec, index: int):
         self.fleet = fleet
         self.index = index
-        dep = fleet.deployments[index]
-        spec = ExperimentSpec(
-            deployment=DeploymentSpec(
-                stack=dep.stack, compute_racks=dep.compute_racks,
-                compute_hosts_per_rack=dep.compute_hosts_per_rack,
-                storage_racks=dep.storage_racks,
-                storage_hosts_per_rack=dep.storage_hosts_per_rack,
-            ),
-            workload=WorkloadSpec(
-                block_sizes=tuple(dep.block_sizes), iodepth=dep.iodepth,
-                read_fraction=dep.read_fraction, runtime_ns=dep.runtime_ns,
-            ),
-            vd_size_mb=dep.vd_size_mb,
-        )
-        rig = Rig(spec, dep.seed)
+        member = fleet.deployments[index]
+        rig = Rig(member, member.seeds[0])
         self.deployment = rig.deployment
         self.sim = rig.sim
         self.health = rig.health
@@ -70,7 +55,7 @@ class DeploymentSim:
         # Inbound effects in (at_ns, src) order, stable over spec order:
         # one destination applies same-instant arrivals in that order.
         inbound = sorted(
-            (e for e in fleet.events if e.dst == index and fleet.delivered(e)),
+            (e for e in fleet.events if e.dst == index),
             key=lambda e: (e.at_ns, e.src),
         )
         for event in inbound:
@@ -175,7 +160,7 @@ class DeploymentSim:
             sketch.add(sample)
         return {
             "index": self.index,
-            "stack": self.fleet.deployments[self.index].stack,
+            "stack": self.fleet.deployments[self.index].deployment.stack,
             "issued": self.job.issues,
             "completed": self.job.completed,
             "failed": self.job.failed,

@@ -32,7 +32,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..metrics.stats import LatencyStats
-from ..workloads import IoRecord, replay
+from ..workloads import replay
 from .results import SweepResult
 from .rig import DRAIN_NS, Rig
 from .spec import ExperimentSpec, canonical_json
@@ -164,9 +164,8 @@ def execute_point(
         issued = w.count
         rig.run()
     else:  # trace
-        records = [IoRecord(*row) for row in w.records]
         result = replay(
-            dep.sim, vd, records, time_scale=w.time_scale, size_scale=w.size_scale,
+            dep.sim, vd, w.records, time_scale=w.time_scale, size_scale=w.size_scale,
             on_each=rig.hangs.note_completion, on_issue=rig.hangs.watch,
         )
         rig.run()

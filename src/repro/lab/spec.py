@@ -33,6 +33,7 @@ from ..net.failures import (
 )
 from ..sim import MS, SECOND, US
 from ..workloads.fio import FioSpec
+from ..workloads.replay import IoRecord
 
 #: Bump when the artifact layout changes: old cache entries stop matching.
 #: v5: trace workloads gained ``size_scale`` and are hang-watched at issue
@@ -69,8 +70,8 @@ class WorkloadSpec:
       mixed block sizes, read fraction, access pattern);
     * ``isolated`` — ``count`` paced single I/Os (the Table 1 / latency
       -breakdown methodology: one I/O in flight at a time);
-    * ``trace`` — replay of recorded :class:`repro.workloads.IoRecord`
-      rows, preserving inter-arrival times.
+    * ``trace`` — replay of a recorded :class:`repro.workloads.IoRecord`
+      stream, preserving inter-arrival times.
     """
 
     mode: str = "fio"
@@ -85,8 +86,8 @@ class WorkloadSpec:
     size_bytes: int = 4096
     kind: str = "write"
     gap_ns: int = 200_000
-    # trace mode: rows of (at_ns, kind, offset_bytes, size_bytes)
-    records: Tuple[Tuple[int, str, int, int], ...] = ()
+    # trace mode
+    records: Tuple[IoRecord, ...] = ()
     time_scale: float = 1.0
     #: Multiplies replayed I/O sizes (re-aligned to 4KB) — with
     #: ``time_scale`` these are the scenario plane's rate/size knobs.
@@ -122,7 +123,7 @@ class WorkloadSpec:
             return self.runtime_ns
         if self.mode == "isolated":
             return self.count * self.gap_ns
-        return int(max(r[0] for r in self.records) * self.time_scale)
+        return int(max(r.at_ns for r in self.records) * self.time_scale)
 
 
 #: kind -> constructor taking a FaultSpec; ``target`` is a switch tier
@@ -371,7 +372,9 @@ class ExperimentSpec:
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         d = dataclasses.asdict(self)
-        d["workload"]["records"] = [list(r) for r in self.workload.records]
+        d["workload"]["records"] = [
+            [r.at_ns, r.kind, r.offset_bytes, r.size_bytes] for r in self.workload.records
+        ]
         return d
 
     def to_json(self) -> str:
@@ -382,7 +385,7 @@ class ExperimentSpec:
         d = dict(d)
         w = dict(d.pop("workload"))
         w["block_sizes"] = tuple(w["block_sizes"])
-        w["records"] = tuple(tuple(r) for r in w["records"])
+        w["records"] = tuple(IoRecord(*r) for r in w["records"])
         upgrade = d.pop("upgrade", None)
         telemetry = d.pop("telemetry", None)
         rebuild = d.pop("rebuild", None)

@@ -264,8 +264,7 @@ def _run_fleet(spec: FleetSpec, jobs: int, quiet: bool) -> Outcome:
         print(f"  digest        {result.digest}")
         print(f"  events        {result.events_processed} "
               f"({result.events_per_sec:,.0f}/s over {result.wall_s:.2f}s)")
-        print(f"  messages      {result.messages_routed} routed, "
-              f"{result.messages_dropped} dropped past horizon")
+        print(f"  messages      {result.messages_routed} routed")
         print(f"  foreground    {s['completed']}/{s['issued']} I/Os, "
               f"{s['failed']} failed, {s['hangs']} hung")
         print(f"  cross-dep     {s['injected_completed']}/{s['injected_issued']} "

@@ -110,12 +110,12 @@ class FleetTrace:
         if extra:
             raise ValueError(f"metadata for unknown streams: {sorted(extra)}")
         # Canonical in-memory order: records per stream by (arrival,
-        # kind, offset, size).  The full key (not arrival alone) matters:
-        # recorders observe I/Os in *completion* order, and a canonical
-        # total order is what makes record -> replay -> record round
-        # trips byte-identical.
+        # kind, offset, size), IoRecord's own order.  The full key (not
+        # arrival alone) matters: recorders observe I/Os in *completion*
+        # order, and a canonical total order is what makes record ->
+        # replay -> record round trips byte-identical.
         for records in self.streams.values():
-            records.sort(key=lambda r: (r.at_ns, r.kind, r.offset_bytes, r.size_bytes))
+            records.sort()
         expected = self.content_digest()
         if not self.digest:
             self.digest = expected
@@ -130,15 +130,6 @@ class FleetTrace:
     @property
     def records_total(self) -> int:
         return sum(len(r) for r in self.streams.values())
-
-    @property
-    def bytes_total(self) -> int:
-        return sum(r.size_bytes for rs in self.streams.values() for r in rs)
-
-    @property
-    def horizon_ns(self) -> int:
-        """Arrival time of the last I/O across every stream."""
-        return max(r.at_ns for rs in self.streams.values() for r in rs)
 
     def content_digest(self) -> str:
         """sha256 over the canonical content: records plus the stream
@@ -162,51 +153,17 @@ class FleetTrace:
         return hashlib.sha256(canonical_json(material)).hexdigest()[:16]
 
     # -- transforms ------------------------------------------------------
-    def scaled(
-        self, rate_scale: float = 1.0, size_scale: float = 1.0
-    ) -> "FleetTrace":
-        """A new trace with arrivals compressed by ``rate_scale`` (2.0 =
-        twice the arrival rate) and sizes multiplied by ``size_scale``
-        (re-aligned to 4KB, at least one block)."""
-        if rate_scale <= 0 or size_scale <= 0:
-            raise ValueError(
-                f"scales must be positive: rate={rate_scale}, size={size_scale}"
-            )
-        streams = {
-            stream: [
-                IoRecord(
-                    at_ns=int(r.at_ns / rate_scale),
-                    kind=r.kind,
-                    offset_bytes=r.offset_bytes,
-                    size_bytes=max(
-                        TRACE_ALIGN,
-                        int(r.size_bytes * size_scale) // TRACE_ALIGN * TRACE_ALIGN,
-                    ),
-                )
-                for r in records
-            ]
-            for stream, records in self.streams.items()
-        }
-        return FleetTrace(
-            name=self.name,
-            streams=streams,
-            meta=dict(self.meta),
-            description=self.description,
-            epoch_ns=self.epoch_ns,
-        )
-
-    def merged_rows(self) -> Tuple[Tuple[int, str, int, int], ...]:
-        """Every stream interleaved into one (at_ns, kind, offset, size)
-        row tuple — the single-VD shape `repro.lab`'s trace workload
-        replays.  Rows are globally ordered by (arrival, stream name) so
-        the merge is a pure function of the trace."""
-        rows = [
-            (r.at_ns, stream, r.kind, r.offset_bytes, r.size_bytes)
+    def merged_rows(self) -> Tuple[IoRecord, ...]:
+        """Every stream interleaved into one record tuple — the single-VD
+        stream `repro.lab`'s trace workload replays.  Records are globally
+        ordered by (arrival, stream name, record) so the merge is a pure
+        function of the trace."""
+        rows = sorted(
+            (r.at_ns, stream, r)
             for stream, records in sorted(self.streams.items())
             for r in records
-        ]
-        rows.sort()
-        return tuple((t, k, o, z) for t, _s, k, o, z in rows)
+        )
+        return tuple(r for _t, _s, r in rows)
 
     def subset(self, max_records: int) -> "FleetTrace":
         """The trace's deterministic CI-sized prefix: the first

@@ -22,9 +22,10 @@ from ..metrics.stats import LatencyStats
 from ..sim.engine import Simulator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class IoRecord:
-    """One recorded I/O: timing and shape, no payload."""
+    """One recorded I/O: timing and shape, no payload.  Records order by
+    (arrival, kind, offset, size), the canonical trace order."""
 
     at_ns: int
     kind: str

@@ -8,8 +8,9 @@ import pytest
 
 import repro.run as repro_run
 from repro.__main__ import main
-from repro.lab.spec import ExperimentSpec, canonical_json
+from repro.lab.spec import ExperimentSpec, WorkloadSpec, canonical_json
 from repro.run import load_spec, parse_set
+from repro.workloads import IoRecord
 
 
 class TestCli:
@@ -212,6 +213,23 @@ class TestRunLoader:
         path = tmp_path / "odd.json"
         path.write_text(json.dumps(payload))
         assert main(["run", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [
+        [0, "zzz", 0, 4096],
+        [0, "read", -4096, 4096],
+        [0, "read", 0, 0],
+    ], ids=["bad-kind", "negative-offset", "zero-size"])
+    def test_bad_trace_record_exits_2(self, tmp_path, capsys, row):
+        # A trace row is an IoRecord from the moment the spec loads, so
+        # a bad one is a usage error, not a failed run.
+        spec = ExperimentSpec(workload=WorkloadSpec(
+            mode="trace", records=(IoRecord(0, "write", 0, 4096),)))
+        payload = spec.to_dict()
+        payload["workload"]["records"].append(row)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", str(path), "--no-store"]) == 2
         assert str(path) in capsys.readouterr().err
 
     def test_missing_file_and_unknown_name_exit_2(self, tmp_path, capsys):

@@ -11,13 +11,13 @@ import dataclasses
 import pytest
 
 from repro.dist import (
-    FleetDeployment,
     FleetEvent,
     FleetSpec,
     reference_fleet,
     run_fleet,
 )
 from repro.dist.shardsim import DeploymentSim, ShardState, run_deployment
+from repro.lab.spec import FaultSpec, RebuildSpec, TelemetrySpec, UpgradeSpec, WorkloadSpec
 from repro.sim import MS
 
 #: A fleet small enough for CI: 4 deployments, short runtime, trimmed
@@ -25,6 +25,13 @@ from repro.sim import MS
 def small_fleet(deployments=4, runtime_ns=3 * MS):
     spec = reference_fleet(deployments=deployments, runtime_ns=runtime_ns)
     return dataclasses.replace(spec, drain_ns=3 * MS)
+
+
+def member(runtime_ns=20 * MS, **fields):
+    """A reference-fleet member (SOLAR, 1x2 compute, 1x4 storage, 64MB VD,
+    fio at iodepth 8) with ``fields`` replaced."""
+    base = reference_fleet(deployments=2, runtime_ns=runtime_ns).deployments[0]
+    return dataclasses.replace(base, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +57,7 @@ def test_fleet_spec_roundtrip_and_digest():
 
 
 def test_fleet_spec_validation():
-    dep = FleetDeployment()
+    dep = member()
     with pytest.raises(ValueError, match="at least one deployment"):
         FleetSpec(deployments=())
     with pytest.raises(ValueError, match="crossing_ns"):
@@ -75,7 +82,7 @@ def test_oversized_migration_rejected():
     # A migrated I/O larger than the destination VD has no slot to land
     # in; the spec must refuse it instead of the destination dividing
     # by zero slots mid-run.
-    small, big = FleetDeployment(vd_size_mb=1), FleetDeployment(vd_size_mb=64)
+    small, big = member(vd_size_mb=1), member(vd_size_mb=64)
     oversized = FleetEvent(at_ns=MS, kind="migration", src=1, dst=0, size_kb=2048)
     with pytest.raises(ValueError, match="exceeds"):
         FleetSpec(deployments=(small, big), events=(oversized,))
@@ -103,7 +110,7 @@ def test_same_ns_inbound_applies_in_at_src_spec_order(monkeypatch):
     # Three events reach deployment 0 at the same instant, listed out of
     # order; the destination applies them by (at_ns, src), ties in spec
     # order.
-    dep = FleetDeployment(runtime_ns=2 * MS)
+    dep = member(runtime_ns=2 * MS)
     events = (
         FleetEvent(at_ns=MS, kind="migration", src=2, dst=0, count=1),
         FleetEvent(at_ns=MS, kind="incident", src=1, dst=0),
@@ -157,19 +164,59 @@ def test_digest_identical_under_multiprocess_pool():
     assert sorted(finished) == [(1, 2), (2, 2)]
 
 
-def test_dropped_messages_are_counted():
-    # An event so close to the horizon its effect can never land.
-    dep = FleetDeployment(runtime_ns=2 * MS)
-    spec = FleetSpec(
-        deployments=(dep, dep),
-        events=(
-            FleetEvent(at_ns=int(3.5 * MS), kind="migration", src=0, dst=1),
-        ),
-        drain_ns=2 * MS,
-    )
+def test_effect_landing_past_the_horizon_is_refused():
+    # An event so close to the horizon its effect could never land: the
+    # spec refuses it rather than the run dropping it.
+    dep = member(runtime_ns=2 * MS)
+    late = FleetEvent(at_ns=int(3.5 * MS), kind="migration", src=0, dst=1)
+    with pytest.raises(ValueError, match="lands past the fleet horizon"):
+        FleetSpec(deployments=(dep, dep), events=(late,), drain_ns=2 * MS)
+    # An effect landing exactly at the horizon is still applied.
+    spec = FleetSpec(deployments=(dep, dep), drain_ns=2 * MS,
+                     events=(dataclasses.replace(late, at_ns=3 * MS),))
     result = run_fleet(spec, shards=1)
-    assert result.messages_dropped == 1
-    assert result.messages_routed == 0
+    assert result.messages_dropped == 0
+    assert result.messages_routed == 1
     assert result.artifacts[0]["messages_out"] == 1
-    assert result.artifacts[1]["messages_in"] == 0
-    assert result.artifacts[1]["injected_issued"] == 0
+    assert result.artifacts[1]["messages_in"] == 1
+
+
+# ----------------------------------------------------------------------
+# Members are lab points
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fields", [
+    dict(seeds=(1, 2)),
+    dict(workload=WorkloadSpec(mode="isolated")),
+    dict(until_ns=5 * MS),
+    dict(upgrade=UpgradeSpec()),
+    dict(rebuild=RebuildSpec()),
+    dict(telemetry=TelemetrySpec()),
+], ids=["two-seeds", "isolated", "until_ns", "upgrade", "rebuild", "telemetry"])
+def test_member_inputs_the_fleet_would_drop_are_refused(fields):
+    with pytest.raises(ValueError, match="deployment 1"):
+        FleetSpec(deployments=(member(), member(**fields)))
+
+
+def test_member_name_is_not_part_of_the_digest():
+    spec = small_fleet()
+    renamed = dataclasses.replace(spec, deployments=(
+        dataclasses.replace(spec.deployments[0], name="other"),
+    ) + spec.deployments[1:])
+    assert renamed.digest() == spec.digest()
+    reseeded = dataclasses.replace(spec, deployments=(
+        dataclasses.replace(spec.deployments[0], seeds=(7,)),
+    ) + spec.deployments[1:])
+    assert reseeded.digest() != spec.digest()
+
+
+def test_member_fault_schedule_is_applied():
+    spec = small_fleet(deployments=2)
+    blackhole = FaultSpec(kind="switch_blackhole", target="spine", param=0.5, start_ns=0)
+    faulted = dataclasses.replace(spec, deployments=(
+        dataclasses.replace(spec.deployments[0], faults=(blackhole,)),
+        spec.deployments[1],
+    ))
+    clean = run_deployment(spec.to_json(), 0)
+    hit = run_deployment(faulted.to_json(), 0)
+    assert hit["completed"] < clean["completed"]
+    assert run_deployment(faulted.to_json(), 1) == run_deployment(spec.to_json(), 1)

@@ -30,6 +30,7 @@ from repro.lab import (
 from repro.lab.runner import _simulate_point
 from repro.metrics.stats import mean_ci
 from repro.sim import MS
+from repro.workloads import IoRecord
 
 #: Smallest deployment that still replicates writes 3 ways.
 SMALL = DeploymentSpec(
@@ -281,7 +282,7 @@ class TestWorkloadModes:
 
     def test_trace_mode_replays_every_record(self):
         records = tuple(
-            (i * 100_000, "write" if i % 2 else "read", i * 4096, 4096)
+            IoRecord(i * 100_000, "write" if i % 2 else "read", i * 4096, 4096)
             for i in range(8)
         )
         spec = small_spec(
@@ -318,7 +319,7 @@ class TestArtifactSchema:
     @pytest.mark.parametrize("workload", [
         WorkloadSpec(mode="fio", iodepth=4, runtime_ns=1 * MS),
         WorkloadSpec(mode="isolated", count=2),
-        WorkloadSpec(mode="trace", records=((0, "write", 0, 4096),)),
+        WorkloadSpec(mode="trace", records=(IoRecord(0, "write", 0, 4096),)),
     ], ids=["fio", "isolated", "trace"])
     def test_plain_points_write_the_schema_version(self, workload):
         from repro.lab.spec import SCHEMA_VERSION

@@ -181,19 +181,6 @@ class TestFleetTrace:
         assert a.digest == b.digest  # provenance is not workload content
         assert a.digest != c.digest  # the replayed VD shape is
 
-    def test_scaled(self):
-        trace = mini_trace()
-        fast = trace.scaled(rate_scale=2.0)
-        assert fast.horizon_ns == trace.horizon_ns // 2
-        big = trace.scaled(size_scale=2.5)
-        sizes = {r.size_bytes for r in big.streams["vd0"]}
-        assert sizes == {10240 // 4096 * 4096}  # re-aligned to 4KB
-        tiny = trace.scaled(size_scale=0.001)
-        assert all(r.size_bytes == 4096
-                   for rs in tiny.streams.values() for r in rs)
-        with pytest.raises(ValueError, match="positive"):
-            trace.scaled(rate_scale=0)
-
     def test_merged_rows_global_order(self):
         rows = mini_trace().merged_rows()
         assert list(rows) == sorted(rows)

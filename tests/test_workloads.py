@@ -284,6 +284,25 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay(dep.sim, vd, [], time_scale=0)
 
+    @pytest.mark.parametrize("size_scale, size", [(2.5, 8192), (0.001, 4096)])
+    def test_replay_respects_size_scale(self, size_scale, size):
+        # Scaled sizes re-align down to 4 KiB, and never below one block.
+        dep, vd = self._deployment()
+        issued = []
+        result = replay(dep.sim, vd, [IoRecord(0, "write", 0, 4096)],
+                        size_scale=size_scale,
+                        on_issue=lambda io: issued.append(io.size_bytes))
+        dep.run()
+        assert issued == [size]
+        assert result.issued_bytes == size
+        assert result.completed == 1
+
+    @pytest.mark.parametrize("size_scale", [0, -1.0])
+    def test_size_scale_validated(self, size_scale):
+        dep, vd = self._deployment()
+        with pytest.raises(ValueError, match="size scale"):
+            replay(dep.sim, vd, [], size_scale=size_scale)
+
     def test_same_records_replay_faster_on_solar(self):
         """Replay one I/O population on LUNA and on SOLAR: same records,
         different latency — the cross-stack methodology of Figure 6."""
