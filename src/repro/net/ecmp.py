@@ -22,8 +22,9 @@ T = TypeVar("T")
 def flow_hash(flow: FiveTuple, salt: str = "") -> int:
     """Deterministic 32-bit hash of a 5-tuple (+ optional per-switch salt).
 
-    Memoized: a closed-loop workload revisits the same few thousand
-    (flow, salt) pairs once per packet per hop.
+    Memoized: an armed blackhole hashes every packet of a flow with the
+    same salt, and forwarding tables re-pick every flow after each
+    link-state change.
     """
     src, dst, sport, dport, proto = flow
     key = f"{salt}|{src}|{dst}|{sport}|{dport}|{proto}".encode("utf-8")

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 from ..sim.engine import Simulator
 from .ecmp import pick
 from .link import LINK_STATE_EPOCH, Channel
-from .packet import Packet
+from .packet import FiveTuple, Packet
 
 PacketHandler = Callable[[Packet], None]
 
@@ -30,8 +30,10 @@ class Endpoint:
         self.sim = sim
         self.name = name
         self.uplinks: List[Channel] = []
-        self._live_epoch = -1
-        self._live_uplinks: List[Channel] = []
+        #: 5-tuple -> uplink (``None``: every uplink is down), cleared
+        #: whenever ``LINK_STATE_EPOCH`` moves, like a switch's table.
+        self._fib: Dict[FiveTuple, Optional[Channel]] = {}
+        self._fib_epoch = -1
         self._handlers: Dict[str, PacketHandler] = {}
         self._default_handler: Optional[PacketHandler] = None
         self.tx_packets = 0
@@ -55,16 +57,20 @@ class Endpoint:
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Emit a packet through one healthy uplink (flow-hashed)."""
-        epoch = LINK_STATE_EPOCH[0]
-        if epoch != self._live_epoch:
-            self._live_uplinks = [ch for ch in self.uplinks if ch.up]
-            self._live_epoch = epoch
-        live = self._live_uplinks
-        if not live:
+        fib = self._fib
+        if self._fib_epoch != LINK_STATE_EPOCH[0]:
+            fib.clear()
+            self._fib_epoch = LINK_STATE_EPOCH[0]
+        flow = (packet.src, packet.dst, packet.sport, packet.dport, packet.proto)
+        try:
+            channel = fib[flow]
+        except KeyError:
+            live = [ch for ch in self.uplinks if ch.up]
+            channel = fib[flow] = pick(flow, live, salt=self.name) if live else None
+        if channel is None:
             self.tx_dropped += 1
             return False
         packet.created_ns = packet.created_ns or self.sim.now
-        channel = pick(packet.flow, live, salt=self.name)
         ok = channel.send(packet)
         if ok:
             self.tx_packets += 1

@@ -28,8 +28,8 @@ from ..profiles import bytes_time_ns
 from ..sim.engine import Simulator
 from .packet import Packet
 
-#: Monotonic generation counter for link-state-derived caches (switch
-#: route candidates, endpoint live-uplink lists).  Bumped on every
+#: Monotonic generation counter for link-state-derived caches (the
+#: switches' and endpoints' forwarding tables).  Bumped on every
 #: channel up/down transition and on (re)wiring; caches stamp the value
 #: they were built at and rebuild when it moved.  A single process-wide
 #: counter over-invalidates across simulators, which is harmless — the

@@ -22,7 +22,7 @@ from ..profiles import NetworkProfile
 from ..sim.engine import Simulator
 from .ecmp import flow_hash, pick
 from .link import LINK_STATE_EPOCH, Channel
-from .packet import IntRecord, Packet
+from .packet import FiveTuple, IntRecord, Packet
 
 
 class Switch:
@@ -50,10 +50,13 @@ class Switch:
         self.blackhole_salt = ""
         self.drop_rate = 0.0
         self._drop_rng = sim.rng.stream(f"switch/{name}/drop")
-        #: dst -> (epoch, up-filtered candidate names); rebuilt when any
-        #: link state changes.  Routing is a pure function of (switch,
-        #: dst, link state), so this is exact, not approximate.
-        self._route_cache: Dict[str, tuple] = {}
+        #: Forwarding table: 5-tuple -> egress channel (``None``: no
+        #: route), filled on a flow's first packet and cleared whenever
+        #: ``LINK_STATE_EPOCH`` moves.  Routing is a pure function of
+        #: (switch, dst, link state) and the ECMP pick of the flow, so
+        #: this is exact, not approximate.
+        self._fib: Dict[FiveTuple, Optional[Channel]] = {}
+        self._fib_epoch = -1
         self.rx_packets = 0
         self.forwarded = 0
         self.dropped_no_route = 0
@@ -94,8 +97,6 @@ class Switch:
         self.sim.schedule(downtime_ns, self.set_up, True)
 
     def _blackholes(self, packet: Packet) -> bool:
-        if self.blackhole_fraction <= 0.0:
-            return False
         h = flow_hash(packet.flow, f"{self.name}|{self.blackhole_salt}")
         return (h / 0xFFFFFFFF) < self.blackhole_fraction
 
@@ -113,7 +114,7 @@ class Switch:
         if not self.up:
             self.dropped_down += 1
             return
-        if self._blackholes(packet):
+        if self.blackhole_fraction > 0.0 and self._blackholes(packet):
             self.dropped_blackhole += 1
             return
         if self.drop_rate > 0.0 and self._drop_rng.random() < self.drop_rate:
@@ -123,23 +124,18 @@ class Switch:
             self.dropped_ttl += 1
             return
         packet.ttl -= 1
-        epoch = LINK_STATE_EPOCH[0]
-        cached = self._route_cache.get(packet.dst)
-        if cached is not None and cached[0] == epoch:
-            candidates = cached[1]
-        else:
-            if self._next_hops is None:
-                raise RuntimeError(f"switch {self.name} has no routing function")
-            candidates = [
-                name
-                for name in self._next_hops(self, packet)
-                if name in self.ports and self.ports[name].up
-            ]
-            self._route_cache[packet.dst] = (epoch, candidates)
-        if not candidates:
+        fib = self._fib
+        if self._fib_epoch != LINK_STATE_EPOCH[0]:
+            fib.clear()
+            self._fib_epoch = LINK_STATE_EPOCH[0]
+        flow = (packet.src, packet.dst, packet.sport, packet.dport, packet.proto)
+        try:
+            egress = fib[flow]
+        except KeyError:
+            egress = fib[flow] = self._route(packet, flow)
+        if egress is None:
             self.dropped_no_route += 1
             return
-        egress = self.ports[pick(packet.flow, candidates, salt=self.name)]
         if packet.int_records is not None:
             # HPCC-style telemetry (§4.8), only on packets whose receiver
             # reads it.
@@ -149,6 +145,20 @@ class Switch:
             )
         self.forwarded += 1
         egress.send(packet)
+
+    def _route(self, packet: Packet, flow: FiveTuple) -> Optional[Channel]:
+        """The flow's egress under the current link state: ECMP over the
+        live ports toward ``packet.dst``, or None when none is up."""
+        if self._next_hops is None:
+            raise RuntimeError(f"switch {self.name} has no routing function")
+        ports = self.ports
+        candidates = [
+            name for name in self._next_hops(self, packet)
+            if name in ports and ports[name].up
+        ]
+        if not candidates:
+            return None
+        return ports[pick(flow, candidates, salt=self.name)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "DOWN"

@@ -1,21 +1,48 @@
 """The discrete-event simulation engine.
 
-A :class:`Simulator` owns the virtual clock and the event scheduler.
+A :class:`Simulator` owns the virtual clock and the event queue.
 Everything in the reproduction — links, switches, CPUs, SSDs, protocol
 stacks — is driven by callbacks scheduled on a single simulator instance,
 so a whole EBS deployment runs deterministically from one seed.
 
-Events fire in ``(time, seq)`` order from one binary heap (see
-:mod:`repro.sim.sched`).
+Events fire in ``(time, seq)`` order, where ``seq`` is the global
+creation sequence number, so same-instant events fire FIFO.  The queue
+is one binary heap of tuples, so comparisons stay in C (no
+``Event.__lt__`` dispatch per sift step).  Entries come in two shapes,
+told apart by the third slot:
+
+* ``(time, seq, event)`` — a cancellable :class:`Event` (``schedule`` /
+  ``schedule_at`` / ``call_soon``);
+* ``(time, seq, None, fn, args)`` — an **anonymous** fire-and-forget
+  entry (``schedule_fire`` / ``schedule_at_fire``): no Event object is
+  allocated.  Most events in a packet simulation (CPU-work completions,
+  RPC hops, link deliveries) are never cancelled, so skipping the
+  allocation removes the largest per-event constant.  ``seq`` is
+  globally unique, so tuple comparison never reaches the third slot.
+
+Cancellation is lazy: a cancelled event stays in the heap as a *ghost*
+(counted in ``_ghosts``) and is skipped when it reaches the head.  When
+ghosts outnumber live events (and exceed :data:`COMPACT_MIN_GHOSTS`) the
+heap is rebuilt without them, so cancel-heavy workloads (timeout/retry
+paths re-arming RTOs per message) cannot grow it without bound.
+
+Model code schedules only through the ``schedule*``/``call_soon``
+methods and never touches the heap: those methods are the one seam
+through which every event enters the queue.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from .events import Event, format_ns
 from .rng import RngRegistry
-from .sched import HeapScheduler
+
+#: Compaction floor: never bother rebuilding tiny heaps.
+COMPACT_MIN_GHOSTS = 512
+
+_FOREVER = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -40,11 +67,10 @@ class Simulator:
         self.now: int = 0
         self.seed = seed
         self.rng = RngRegistry(seed)
-        self._sched = HeapScheduler()
-        # Pre-bound push methods: schedule() runs a few hundred thousand
-        # times per simulated second, so one attribute chain matters.
-        self._push = self._sched.push
-        self._push_fire = self._sched.push_fire
+        self._heap: list = []
+        #: Cancelled events still buried in the heap.
+        self._ghosts = 0
+        self.compactions = 0
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -58,9 +84,11 @@ class Simulator:
         delay_ns = int(delay_ns)
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        event = Event(self.now + delay_ns, self._seq, fn, args)
-        self._seq += 1
-        self._push(event)
+        seq = self._seq
+        self._seq = seq + 1
+        time_ns = self.now + delay_ns
+        event = Event(time_ns, seq, fn, args, self)
+        heappush(self._heap, (time_ns, seq, event))
         return event
 
     def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
@@ -70,9 +98,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {format_ns(time_ns)}; now is {format_ns(self.now)}"
             )
-        event = Event(time_ns, self._seq, fn, args)
-        self._seq += 1
-        self._push(event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time_ns, seq, fn, args, self)
+        heappush(self._heap, (time_ns, seq, event))
         return event
 
     def schedule_fire(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
@@ -85,8 +114,9 @@ class Simulator:
         delay_ns = int(delay_ns)
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        self._push_fire(self.now + delay_ns, self._seq, fn, args)
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now + delay_ns, seq, None, fn, args))
 
     def schedule_at_fire(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Absolute-time variant of :meth:`schedule_fire`."""
@@ -95,43 +125,72 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {format_ns(time_ns)}; now is {format_ns(self.now)}"
             )
-        self._push_fire(time_ns, self._seq, fn, args)
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time_ns, seq, None, fn, args))
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current instant (after pending events)."""
-        event = Event(self.now, self._seq, fn, args)
-        self._seq += 1
-        self._push(event)
+        seq = self._seq
+        self._seq = seq + 1
+        now = self.now
+        event = Event(now, seq, fn, args, self)
+        heappush(self._heap, (now, seq, event))
         return event
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the scheduler drains, ``until`` is reached, or
+        """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.
 
         ``until`` is an absolute time and exact: every live event at or
         before it fires, none after it does (cancelled timers at the
-        head of the queue are skipped before the bound is checked).  The
-        clock is advanced to ``until`` even if the last event fires
-        earlier (matching how a wall-clock experiment of fixed duration
-        behaves).  Returns the number of events processed by this call.
+        head of the queue are skipped before the bound is checked).
+        When no live event at or before ``until`` is left, the clock is
+        advanced to ``until`` even if the last event fired earlier
+        (matching how a wall-clock experiment of fixed duration behaves);
+        a run cut short by ``max_events`` or :meth:`stop` leaves it at
+        the last event.  Returns the number of events processed by this
+        call.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
-        # The loop itself lives in the scheduler (``drain``) so popping
-        # needs no method dispatch per event.
+        heap = self._heap
+        pop = heappop
+        bound = _FOREVER if until is None else until
+        start = self.events_processed
+        budget = _FOREVER if max_events is None else start + max_events
         try:
-            processed = self._sched.drain(self, until, max_events)
+            # ``_compact`` rebuilds in place, so ``heap`` stays valid
+            # across callbacks.
+            while heap and not self._stopped:
+                entry = heap[0]
+                event = entry[2]
+                if event is not None and event.cancelled:
+                    pop(heap)
+                    self._ghosts -= 1
+                    continue
+                if entry[0] > bound or self.events_processed >= budget:
+                    break
+                pop(heap)
+                self.now = entry[0]
+                self.events_processed += 1
+                if event is None:
+                    entry[3](*entry[4])
+                else:
+                    event._sim = None
+                    event.fn(*event.args)
         finally:
             self._running = False
+        # The loop left a live head (or an empty heap) unless stopped.
         if until is not None and not self._stopped and self.now < until:
-            self.now = until
-        return processed
+            if not heap or heap[0][0] > until:
+                self.now = until
+        return self.events_processed - start
 
     def run_for(self, duration_ns: int, **kwargs: Any) -> int:
         """Run for a relative duration from the current time."""
@@ -142,16 +201,43 @@ class Simulator:
         self._stopped = True
 
     # ------------------------------------------------------------------
+    # Cancellation
+    # ------------------------------------------------------------------
+    def _note_cancel(self) -> None:
+        """Called by :meth:`Event.cancel` for an event still queued here."""
+        self._ghosts += 1
+        if self._ghosts > COMPACT_MIN_GHOSTS and 2 * self._ghosts > len(self._heap):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap without cancelled ghosts, in place: a running
+        :meth:`run` holds a reference to the list across callbacks."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2] is None or not entry[2].cancelled]
+        heapify(heap)
+        self._ghosts = 0
+        self.compactions += 1
+
+    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still scheduled (O(1))."""
-        return self._sched.live
+        return len(self._heap) - self._ghosts
 
     def peek_time(self) -> Optional[int]:
         """Absolute time of the next pending event, or None if drained."""
-        return self._sched.peek_time()
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[2]
+            if event is not None and event.cancelled:
+                heappop(heap)
+                self._ghosts -= 1
+                continue
+            return entry[0]
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,29 +24,30 @@ class Event:
     Events are created by :meth:`repro.sim.engine.Simulator.schedule` and
     should not be instantiated directly.  An event may be cancelled before
     it fires; cancelled events stay in the scheduler but are skipped when
-    popped (lazy deletion), which keeps cancellation O(1).  The scheduler
-    keeps live/ghost counters (via ``_sched``) so cancel-heavy workloads
-    trigger compaction instead of growing the structure without bound.
+    popped (lazy deletion), which keeps cancellation O(1).  While queued
+    the event holds its simulator (``_sim``), which counts the ghost so
+    cancel-heavy workloads trigger compaction instead of growing the heap
+    without bound.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sched")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
 
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
+    def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple, sim: Any):
         self.time = time
         self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._sched = None
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
         if not self.cancelled:
             self.cancelled = True
-            sched = self._sched
-            if sched is not None:
-                self._sched = None
-                sched.note_cancel()
+            sim = self._sim
+            if sim is not None:
+                self._sim = None
+                sim._note_cancel()
 
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:

@@ -9,9 +9,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.net import (
     Channel,
+    ClosTopology,
     Endpoint,
     Link,
     Packet,
+    PodSpec,
     Switch,
     flow_hash,
     pick,
@@ -515,3 +517,101 @@ class TestEndpoint:
         a.uplinks[0].set_up(False)
         assert a.send(make_packet(src="a", dst="b")) is False
         assert a.tx_dropped == 1
+
+
+class ForwardingTableNeverStale(RuleBasedStateMachine):
+    """Switch and endpoint forwarding tables on a small Clos fabric under
+    random channel flips and traffic.  After every step each node's
+    egress for a fixed set of flows must equal the ECMP pick over the
+    live candidates computed from scratch, and no node may ever have
+    handed a packet to a down channel."""
+
+    def __init__(self):
+        super().__init__()
+        self.sim = Simulator()
+        self.topo = ClosTopology(self.sim, DEFAULT.network, [
+            PodSpec("c", racks=2, hosts_per_rack=1),
+            PodSpec("s", racks=1, hosts_per_rack=2, role="storage"),
+        ])
+        self.channels = [ch for link in self.topo.links for ch in (link.ab, link.ba)]
+        self.sent_to_down = []
+        self.handed = []
+        for channel in self.channels:
+            channel.send = self._watch(channel)
+        for host in self.topo.hosts.values():
+            host.on_default(lambda packet: None)
+        names = sorted(self.topo.hosts)
+        pairs = [(src, dst) for src in names for dst in names if src != dst]
+        self.flows = [
+            (src, dst, 1000 + i, 7000, "udp") for i, (src, dst) in enumerate(pairs)
+        ]
+
+    def _watch(self, channel):
+        send = channel.send
+
+        def watched(packet):
+            self.handed.append(channel)
+            if not channel.up:
+                self.sent_to_down.append((channel.name, packet.flow))
+            return send(packet)
+
+        return watched
+
+    def _probe(self, node, flow):
+        """The channel ``node`` hands a packet of ``flow`` to, or None."""
+        self.handed.clear()
+        packet = Packet(*flow, 64, ttl=1)  # dropped at the next switch
+        if isinstance(node, Switch):
+            node.receive(packet, None)
+        else:
+            node.send(packet)
+        assert len(self.handed) <= 1
+        return self.handed[0] if self.handed else None
+
+    # -- rules ------------------------------------------------------------
+    @rule(index=st.integers(0, 10_000))
+    def flip(self, index):
+        channel = self.channels[index % len(self.channels)]
+        channel.set_up(not channel.up)
+
+    @rule(index=st.integers(0, 10_000))
+    def send(self, index):
+        flow = self.flows[index % len(self.flows)]
+        self.topo.hosts[flow[0]].send(Packet(*flow, 1500))
+
+    @rule(span=st.integers(0, 20_000))
+    def advance(self, span):
+        self.sim.run(until=self.sim.now + span)
+
+    # -- invariants -------------------------------------------------------
+    @invariant()
+    def switch_egress_matches_scratch(self):
+        for switch in self.topo.switches.values():
+            for flow in self.flows:
+                packet = Packet(*flow, 64)
+                live = [
+                    name for name in self.topo._next_hops(switch, packet)
+                    if name in switch.ports and switch.ports[name].up
+                ]
+                want = switch.ports[pick(flow, live, salt=switch.name)] if live else None
+                assert self._probe(switch, flow) is want
+
+    @invariant()
+    def endpoint_egress_matches_scratch(self):
+        for host in self.topo.hosts.values():
+            for flow in self.flows:
+                if flow[0] != host.name:
+                    continue
+                live = [ch for ch in host.uplinks if ch.up]
+                want = pick(flow, live, salt=host.name) if live else None
+                assert self._probe(host, flow) is want
+
+    @invariant()
+    def nothing_handed_to_a_down_channel(self):
+        assert self.sent_to_down == []
+
+
+ForwardingTableNeverStale.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestForwardingTableNeverStale = ForwardingTableNeverStale.TestCase

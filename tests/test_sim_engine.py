@@ -20,7 +20,7 @@ from repro.sim import (
     US,
     format_ns,
 )
-from repro.sim.sched import COMPACT_MIN_GHOSTS
+from repro.sim.engine import COMPACT_MIN_GHOSTS
 
 
 class TestScheduling:
@@ -206,6 +206,26 @@ class TestEdgeCases:
         sim.run()
         assert order == ["a", "b", "c", "d"]
 
+    def test_event_budget_does_not_move_clock_past_pending(self):
+        # run(until=, max_events=) stopped by the budget leaves the clock
+        # at the last event, so what is still pending never fires in the past.
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, lambda: fired.append(sim.now))
+        sim.schedule(20, lambda: fired.append(sim.now))
+        assert sim.run(until=100, max_events=1) == 1
+        assert sim.now == 10
+        sim.schedule(5, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10, 15, 20]
+
+    def test_event_budget_advances_clock_when_nothing_is_due(self):
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        sim.schedule(200, lambda: None)
+        assert sim.run(until=100, max_events=1) == 1
+        assert sim.now == 100
+
     def test_until_ignores_cancelled_head(self):
         # A cancelled timer heading the queue must not let a live event
         # past ``until`` fire: the bound is exact.
@@ -244,26 +264,24 @@ class TestEdgeCases:
         # Lazy deletion alone would grow storage to ~n; compaction must
         # keep physical entries within a constant factor of live ones.
         sim = Simulator()
-        sched = sim._sched
         timers = [sim.schedule(1_000_000 + i, lambda: None) for i in range(64)]
         for round_ in range(200):
             for i in range(64):
                 timers[i].cancel()
                 timers[i] = sim.schedule(2_000_000 + round_ * 64 + i, lambda: None)
-        assert sched.live == 64
-        assert sched.compactions > 0
-        assert sched.storage_size <= 2 * max(COMPACT_MIN_GHOSTS, sched.live)
+        assert sim.pending_events == 64
+        assert sim.compactions > 0
+        assert len(sim._heap) <= 2 * max(COMPACT_MIN_GHOSTS, sim.pending_events)
 
     def test_compact_preserves_order(self):
         sim = Simulator()
-        sched = sim._sched
         order = []
         for i in range(50):
             sim.schedule(100 + 7 * i, order.append, i)
             sim.schedule(100 + 7 * i + 3, order.append, None).cancel()
-        sched.compact()
-        assert sched.ghosts == 0
-        assert sched.storage_size == 50
+        sim._compact()
+        assert sim._ghosts == 0
+        assert len(sim._heap) == 50
         sim.run()
         assert order == list(range(50))
 
@@ -324,7 +342,9 @@ class KernelAgainstSortedList(RuleBasedStateMachine):
                 self._push(time + child_delay, (tag, "child"))
             stopped = stops
         if until is not None and not stopped and self.now < until:
-            self.now = until
+            # Only once nothing at or before ``until`` is left to fire.
+            if not self.pending or min(self.pending)[0] > until:
+                self.now = until
         return processed
 
     # -- rules ------------------------------------------------------------
@@ -368,6 +388,13 @@ class KernelAgainstSortedList(RuleBasedStateMachine):
     def run_max_events(self, count):
         assert self.sim.run(max_events=count) == self._run_model(max_events=count)
 
+    @rule(span=st.integers(0, 60), count=st.integers(0, 8))
+    def run_until_max_events(self, span, count):
+        until = self.now + span
+        assert self.sim.run(until=until, max_events=count) == self._run_model(
+            until=until, max_events=count
+        )
+
     # -- invariants -------------------------------------------------------
     @invariant()
     def fired_order_matches(self):
@@ -380,6 +407,10 @@ class KernelAgainstSortedList(RuleBasedStateMachine):
     @invariant()
     def pending_matches(self):
         assert self.sim.pending_events == len(self.pending)
+
+    @invariant()
+    def events_processed_matches(self):
+        assert self.sim.events_processed == len(self.fired)
 
     @invariant()
     def peek_time_matches(self):
