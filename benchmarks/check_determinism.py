@@ -76,11 +76,11 @@ from repro.scenario import (
 from repro.sim import MS
 from repro.workloads import FioJob, FioSpec
 
-KERNEL_EVENTS = 1_106_310
+KERNEL_EVENTS = 970_990
 KERNEL_IOS = 18_127
 
-FLEET_DIGEST = "e2d41a2a7235427e24d996c01d70f65120015e86c40b75c476cc4a7c1c3bd891"
-FLEET_EVENTS = 170_499
+FLEET_DIGEST = "84add1637edeec96e9f80562e352b42f0dd854e66bee052c88124eecab15683b"
+FLEET_EVENTS = 160_379
 FLEET_IOS = 3_257
 FLEET_WORKERS = (1, 2)
 
@@ -101,18 +101,18 @@ REPLAY_DIGESTS = {
     "chaos provision-on-dead-node": "eedd298e58f95d5f",
     "chaos rebuild-source-loss": "abd203eeb30ca221",
     "chaos silent-tor-hang": "1d95d1131b0a6db9",
-    "lab fio@luna": "c57d8925b326ac8b",
-    "lab isolated@solar": "23afc850a3e01e8c",
-    "lab rebuild-reactive": "759bb6e10950ca1f",
+    "lab fio@luna": "b7c8a81b10a15354",
+    "lab isolated@solar": "f3085ee269e1c66c",
+    "lab rebuild-reactive": "68b177c89ad57081",
     "monitor": "5150514b42ae0898",
-    "lab upgrade kernel->luna": "26658519a5a49722",
-    "run rebuild (CI drill)": "0c7640ead0e972e4",
-    "run sweep (CI point)": "80c95b4802d29774",
+    "lab upgrade kernel->luna": "06110f5f9c256bea",
+    "run rebuild (CI drill)": "e32eb7aa86f3fab2",
+    "run sweep (CI point)": "efcac2d5804d8b77",
 }
 
 #: ``run examples/specs/ci-fleet.json --json``: the fleet digest, equal
 #: at every worker count.
-CI_FLEET_DIGEST = "23b1f048813c424f04813b62926622a21bafd02b8bc9a8d9e93aba2824f938a5"
+CI_FLEET_DIGEST = "b43b501d40eb8a09edb526f2dba2f4a5d6d53e04b99570689b1fad168023c20a"
 CI_FLEET_WORKERS = (1, 4)
 
 #: The quick subcommands whose stdout and exit status are pinned.

@@ -106,7 +106,7 @@ def cmd_failover(args) -> int:
         io = vd.write((count[0] % 1000) * 4096, 4096, lambda io: None)
         rig.hangs.watch(io)
         count[0] += 1
-        rig.sim.schedule(2 * MS, issue)
+        rig.sim.schedule_fire(2 * MS, issue)
 
     issue()
     rig.run()

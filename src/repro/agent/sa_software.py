@@ -73,7 +73,7 @@ class SoftwareSA(StorageAgent):
     def _after_nvme(self, io: IoRequest) -> None:
         delay = self.qos_table.admit(io.vd_id, self.sim.now, io.size_bytes)
         if delay > 0:
-            self.sim.schedule(delay, self._issue, io)
+            self.sim.schedule_fire(delay, self._issue, io)
         else:
             self._issue(io)
 
@@ -117,11 +117,11 @@ class SoftwareSA(StorageAgent):
         core = self.cpu.least_loaded()
         done = core.submit(self._issue_cost_ns(io))
         if io.kind == "write":
-            self.sim.schedule_at(
+            self.sim.schedule_at_fire(
                 done, self._charge_pcie, io.size_bytes, lambda: self._send(io)
             )
         else:
-            self.sim.schedule_at(done, self._send, io)
+            self.sim.schedule_at_fire(done, self._send, io)
 
     # ------------------------------------------------------------------
     def _build_blocks(

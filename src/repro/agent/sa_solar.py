@@ -57,7 +57,7 @@ class SolarSA(StorageAgent):
     def _after_nvme(self, io: IoRequest) -> None:
         delay = self.qos_table.admit(io.vd_id, self.sim.now, io.size_bytes)
         if delay > 0:
-            self.sim.schedule(delay, self._dispatch, io)
+            self.sim.schedule_fire(delay, self._dispatch, io)
         else:
             self._dispatch(io)
 

@@ -152,7 +152,7 @@ class ControlledCluster:
             )
             self.rigs[server.stack].hangs.watch(io)
             server.issued += 1
-        self.sim.schedule(self._io_gap_ns, self._tick, server)
+        self.sim.schedule_fire(self._io_gap_ns, self._tick, server)
 
     def _io_done(self, server: LogicalServer, issued_at: int, io) -> None:
         if io.trace is not None and io.trace.ok:

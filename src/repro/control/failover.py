@@ -122,7 +122,7 @@ class FailoverOrchestrator:
         if node is None or node in self._evacuated:
             return
         self._evacuated.add(node)
-        self.sim.schedule(
+        self.sim.schedule_fire(
             self.policy.reroute_delay_ns, self._reroute, node, incident
         )
 

@@ -112,7 +112,7 @@ class HealthMonitor:
             raise RuntimeError("health monitor already started")
         self._started = True
         self._stop_ns = until_ns
-        self.sim.schedule(self.policy.heartbeat_interval_ns, self._sweep)
+        self.sim.schedule_fire(self.policy.heartbeat_interval_ns, self._sweep)
 
     # ------------------------------------------------------------------
     def _sweep(self) -> None:
@@ -136,7 +136,7 @@ class HealthMonitor:
                     )
         next_ns = self.sim.now + self.policy.heartbeat_interval_ns
         if self._stop_ns is None or next_ns <= self._stop_ns:
-            self.sim.schedule(self.policy.heartbeat_interval_ns, self._sweep)
+            self.sim.schedule_fire(self.policy.heartbeat_interval_ns, self._sweep)
 
     # ------------------------------------------------------------------
     def declare(self, kind: str, node: str, detail: str = "") -> Incident:

@@ -186,7 +186,7 @@ class LiveMigration:
         if timer is not None:
             timer.cancel()
         report.drained_ns = self.sim.now
-        self.sim.schedule(
+        self.sim.schedule_fire(
             self.attach_latency_ns,
             self._attach, vd, target, target_host, report, on_done,
         )

@@ -134,11 +134,11 @@ class RollingUpgradeEngine:
                 for j, server in enumerate(group):
                     at = start + j * plan.stagger_ns
                     self._migration_starts[(wave_index + g)] += 1
-                    cluster.sim.schedule_at(at, self._migrate, server, to_stack)
+                    cluster.sim.schedule_at_fire(at, self._migrate, server, to_stack)
             wave_index += plan.waves
 
         for w in range(total):
-            cluster.sim.schedule_at((w + 1) * window, self._snapshot_mix, w)
+            cluster.sim.schedule_at_fire((w + 1) * window, self._snapshot_mix, w)
 
         cluster.start_load(end_ns, plan.io_gap_ns, plan.io_size_bytes)
         cluster.sim.run()

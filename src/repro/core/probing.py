@@ -93,7 +93,7 @@ class PathProber:
             int_records=[],  # echoed back as the path's probed congestion
         )
         # A probe unanswered by the next tick counts as lost.
-        self.sim.schedule(self.interval_ns, self._check_probe, probe_id)
+        self.sim.schedule_fire(self.interval_ns, self._check_probe, probe_id)
 
     def _check_probe(self, probe_id: int) -> None:
         entry = self._outstanding.pop(probe_id, None)

@@ -266,11 +266,11 @@ class SolarClient:
         dpu = getattr(self, "dpu", None)
         done = core.submit(cost)
         if dpu is not None:
-            self.sim.schedule_at(
+            self.sim.schedule_at_fire(
                 done, dpu.internal_pcie.transfer, pkt.block.size_bytes, after_pcie_in
             )
         else:
-            self.sim.schedule_at(done, after_cpu)
+            self.sim.schedule_at_fire(done, after_cpu)
 
     def _write_ready(self, rpc: SolarRpc, pkt: SolarPacket, result: WriteDatapathResult) -> None:
         pkt.wire_payload = result.wire_payload
@@ -606,12 +606,12 @@ class SolarClient:
                     lambda: self._read_block_done(r, p, res),
                 )
 
-            self.sim.schedule_at(
+            self.sim.schedule_at_fire(
                 done, dpu.internal_pcie.transfer, pkt.block.size_bytes,
                 second_crossing,
             )
         else:
-            self.sim.schedule_at(done, self._read_block_done, rpc, pkt, result)
+            self.sim.schedule_at_fire(done, self._read_block_done, rpc, pkt, result)
 
     def _read_block_done(self, rpc: SolarRpc, pkt: SolarPacket, result: ReadDatapathResult) -> None:
         if pkt.acked or rpc.finished:

@@ -51,7 +51,7 @@ class DeploymentSim:
         self.sim.call_soon(self.job.start)
         outbound = [e for e in fleet.events if e.src == index]
         for event in outbound:
-            self.sim.schedule_at(event.at_ns, self._fire_event, event)
+            self.sim.schedule_at_fire(event.at_ns, self._fire_event, event)
         # Inbound effects in (at_ns, src) order, stable over spec order:
         # one destination applies same-instant arrivals in that order.
         inbound = sorted(
@@ -59,7 +59,7 @@ class DeploymentSim:
             key=lambda e: (e.at_ns, e.src),
         )
         for event in inbound:
-            self.sim.schedule_at(
+            self.sim.schedule_at_fire(
                 event.at_ns + fleet.crossing_ns, self._apply_event, event
             )
         self.messages_out = len(outbound)
@@ -80,7 +80,7 @@ class DeploymentSim:
                 event.rate_gbps,
                 start_ns=self.sim.now,
             ):
-                self.sim.schedule_at(at_ns, self._inject, "read", size)
+                self.sim.schedule_at_fire(at_ns, self._inject, "read", size)
         elif event.kind == "migration":
             # The guest leaves: its load stops being ours the moment the
             # destination picks it up.  Locally that is only a ledger
@@ -91,7 +91,7 @@ class DeploymentSim:
         else:  # incident
             scenario = switch_blackhole("spine", event.param, 0)
             scenario.apply(self.deployment.topology)
-            self.sim.schedule(
+            self.sim.schedule_fire(
                 event.duration_ns, scenario.revert, self.deployment.topology
             )
             self.health.declare(
@@ -110,12 +110,12 @@ class DeploymentSim:
                 event.rate_gbps,
                 start_ns=self.sim.now,
             ):
-                self.sim.schedule_at(at_ns, self._inject, "write", size)
+                self.sim.schedule_at_fire(at_ns, self._inject, "write", size)
         elif event.kind == "migration":
             # The migrated guest's write stream resumes here.
             size = event.size_kb * 1024
             for k in range(event.count):
-                self.sim.schedule_at(
+                self.sim.schedule_at_fire(
                     self.sim.now + k * event.gap_ns, self._inject, "write", size
                 )
         else:  # incident
@@ -126,7 +126,7 @@ class DeploymentSim:
                 "spine", event.param, 0, salt=f"remote{event.src}"
             )
             scenario.apply(self.deployment.topology)
-            self.sim.schedule(
+            self.sim.schedule_fire(
                 event.duration_ns, scenario.revert, self.deployment.topology
             )
 

@@ -108,7 +108,7 @@ class EdgeReplicator(StorageAgent):
 
     def _after_nvme(self, io: IoRequest) -> None:
         delay = self.qos_table.admit(io.vd_id, self.sim.now, io.size_bytes)
-        self.sim.schedule(delay, self._dispatch, io)
+        self.sim.schedule_fire(delay, self._dispatch, io)
 
     def _blocks_for(self, io: IoRequest, extent: Extent) -> List[DataBlock]:
         blocks = split_into_blocks(

@@ -43,7 +43,7 @@ class IoHangMonitor:
     def watch(self, io: IoRequest) -> None:
         """Arm the hang check for one I/O.  Call right after submission."""
         self._watched += 1
-        self.sim.schedule(self.threshold_ns, self._check, io)
+        self.sim.schedule_fire(self.threshold_ns, self._check, io)
 
     def _check(self, io: IoRequest) -> None:
         trace = io.trace
@@ -75,8 +75,8 @@ class TimedFault:
     end_ns: Optional[int] = None
 
     def schedule(self, sim: Simulator, topology: ClosTopology) -> None:
-        sim.schedule_at(self.start_ns, self.scenario.apply, topology)
+        sim.schedule_at_fire(self.start_ns, self.scenario.apply, topology)
         if self.end_ns is not None:
             if self.end_ns <= self.start_ns:
                 raise ValueError("fault must end after it starts")
-            sim.schedule_at(self.end_ns, self.scenario.revert, topology)
+            sim.schedule_at_fire(self.end_ns, self.scenario.revert, topology)

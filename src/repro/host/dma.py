@@ -15,7 +15,8 @@ from .pcie import PcieLink
 
 
 class DmaEngine:
-    """A DMA engine bound to one PCIe link, with per-operation setup cost."""
+    """A DMA engine bound to one PCIe link, with per-operation setup cost.
+    Both methods return the completion time, when the callback fires."""
 
     def __init__(self, sim: Simulator, name: str, pcie: PcieLink, setup_ns: int = 700):
         self.sim = sim
@@ -42,15 +43,13 @@ class DmaEngine:
     def _move(
         self, size_bytes: int, callback: Optional[Callable[..., Any]], *args: Any
     ) -> int:
-        def after_setup() -> None:
-            self.pcie.transfer(size_bytes, callback, *args)
-
-        if callback is None:
-            # Pure accounting path: charge setup + transfer synchronously.
-            return self.pcie.transfer(size_bytes) + self.setup_ns
-        self.sim.schedule(self.setup_ns, after_setup)
-        # Best-effort completion estimate (actual completion fires callback).
-        return self.sim.now + self.setup_ns + self.pcie.queue_delay_ns
+        # The setup bounds the transfer's start instead of being an event.
+        # Exact: the link carries only this engine's transfers and each
+        # pays the same setup, so they reach the link in call order with
+        # the start a setup event would have given them.
+        return self.pcie.transfer(
+            size_bytes, callback, *args, not_before=self.sim.now + self.setup_ns
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DmaEngine {self.name} via {self.pcie.name}>"

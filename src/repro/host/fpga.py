@@ -101,7 +101,7 @@ class FpgaDevice:
         self, callback: Callable[..., Any], *args: Any, extra_ns: int = 0
     ) -> None:
         """Complete a pipeline traversal after the fixed pipeline latency."""
-        self.sim.schedule(self.pipeline_latency_ns + extra_ns, callback, *args)
+        self.sim.schedule_fire(self.pipeline_latency_ns + extra_ns, callback, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

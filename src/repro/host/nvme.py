@@ -45,7 +45,7 @@ class NvmeQueue:
             )
         self.inflight += 1
         self.submitted += 1
-        self.sim.schedule(self.submit_latency_ns, handler, command)
+        self.sim.schedule_fire(self.submit_latency_ns, handler, command)
 
     def complete(
         self, command: Any, callback: Optional[Callable[[Any], None]] = None
@@ -56,7 +56,7 @@ class NvmeQueue:
         self.inflight -= 1
         self.completed += 1
         if callback is not None:
-            self.sim.schedule(self.doorbell_ns, callback, command)
+            self.sim.schedule_fire(self.doorbell_ns, callback, command)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<NvmeQueue {self.name} inflight={self.inflight}>"

@@ -40,22 +40,20 @@ class PcieLink:
         size_bytes: int,
         callback: Optional[Callable[..., Any]] = None,
         *args: Any,
+        not_before: int = 0,
     ) -> int:
-        """Move ``size_bytes`` across the link; returns completion time."""
+        """Move ``size_bytes`` across the link, starting no earlier than
+        ``not_before``; returns the completion time."""
         if size_bytes < 0:
             raise ValueError(f"negative transfer size: {size_bytes}")
-        start = max(self.sim.now, self.busy_until)
+        start = max(self.sim.now, not_before, self.busy_until)
         done = start + bytes_time_ns(size_bytes, self.gbps) + self.per_transfer_latency_ns
         self.busy_until = done
         self.bytes_moved += size_bytes
         self.transfers += 1
         if callback is not None:
-            self.sim.schedule_at(done, callback, *args)
+            self.sim.schedule_at_fire(done, callback, *args)
         return done
-
-    @property
-    def queue_delay_ns(self) -> int:
-        return max(0, self.busy_until - self.sim.now)
 
     def goodput_gbps(self, window_ns: int) -> float:
         """Achieved goodput over a window, in Gbps."""
@@ -64,4 +62,4 @@ class PcieLink:
         return self.bytes_moved * 8 / window_ns  # bytes*8 / ns == Gbps
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PcieLink {self.name} {self.gbps}G qdelay={self.queue_delay_ns}ns>"
+        return f"<PcieLink {self.name} {self.gbps}G busy_until={self.busy_until}>"

@@ -160,7 +160,7 @@ def execute_point(
             rig.hangs.watch(op(offset, w.size_bytes, finish))
 
         for i in range(w.count):
-            dep.sim.schedule(i * w.gap_ns, issue, i)
+            dep.sim.schedule_fire(i * w.gap_ns, issue, i)
         issued = w.count
         rig.run()
     else:  # trace

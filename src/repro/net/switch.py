@@ -94,7 +94,7 @@ class Switch:
     def reboot(self, downtime_ns: int) -> None:
         """Fail-stop now, come back after ``downtime_ns``."""
         self.set_up(False)
-        self.sim.schedule(downtime_ns, self.set_up, True)
+        self.sim.schedule_fire(downtime_ns, self.set_up, True)
 
     def _blackholes(self, packet: Packet) -> bool:
         h = flow_hash(packet.flow, f"{self.name}|{self.blackhole_salt}")

@@ -83,7 +83,7 @@ def execute_rebuild_point(spec: ExperimentSpec, seed: int) -> Dict[str, Any]:
     victims = sorted(dep.storage_servers)
     victim = victims[rb.node_index % len(victims)]
     scenario = node_failure(victim)
-    dep.sim.schedule_at(rb.fail_at_ns, scenario.apply, dep.topology)
+    dep.sim.schedule_at_fire(rb.fail_at_ns, scenario.apply, dep.topology)
 
     bound = max(rig.until_ns, rb.fail_at_ns) + _STORM_BOUND_NS
     health.start(until_ns=bound)

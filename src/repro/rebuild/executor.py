@@ -155,7 +155,7 @@ class RebuildExecutor:
         state.inflight[chunk] = source
         _lba, size = state.chunks[chunk]
         at = self._grant(size)
-        self.sim.schedule_at(at, self._issue_read, state, source, chunk, state.gen)
+        self.sim.schedule_at_fire(at, self._issue_read, state, source, chunk, state.gen)
 
     def _valid(self, state: _TransferState, source: str, chunk: int, gen: int) -> bool:
         return (

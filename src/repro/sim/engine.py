@@ -141,9 +141,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have fired.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run events until the queue drains or ``until`` is reached.
 
         ``until`` is an absolute time and exact: every live event at or
         before it fires, none after it does (cancelled timers at the
@@ -151,9 +150,8 @@ class Simulator:
         When no live event at or before ``until`` is left, the clock is
         advanced to ``until`` even if the last event fired earlier
         (matching how a wall-clock experiment of fixed duration behaves);
-        a run cut short by ``max_events`` or :meth:`stop` leaves it at
-        the last event.  Returns the number of events processed by this
-        call.
+        a run cut short by :meth:`stop` leaves it at the last event.
+        Returns the number of events processed by this call.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -163,7 +161,6 @@ class Simulator:
         pop = heappop
         bound = _FOREVER if until is None else until
         start = self.events_processed
-        budget = _FOREVER if max_events is None else start + max_events
         try:
             # ``_compact`` rebuilds in place, so ``heap`` stays valid
             # across callbacks.
@@ -174,7 +171,7 @@ class Simulator:
                     pop(heap)
                     self._ghosts -= 1
                     continue
-                if entry[0] > bound or self.events_processed >= budget:
+                if entry[0] > bound:
                     break
                 pop(heap)
                 self.now = entry[0]
@@ -186,15 +183,15 @@ class Simulator:
                     event.fn(*event.args)
         finally:
             self._running = False
-        # The loop left a live head (or an empty heap) unless stopped.
+        # Unless stopped, the loop left an empty heap or a live head
+        # after ``until``.
         if until is not None and not self._stopped and self.now < until:
-            if not heap or heap[0][0] > until:
-                self.now = until
+            self.now = until
         return self.events_processed - start
 
-    def run_for(self, duration_ns: int, **kwargs: Any) -> int:
+    def run_for(self, duration_ns: int) -> int:
         """Run for a relative duration from the current time."""
-        return self.run(until=self.now + int(duration_ns), **kwargs)
+        return self.run(until=self.now + int(duration_ns))
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the in-flight event returns."""

@@ -103,25 +103,30 @@ class ChunkServer:
     def handle(self, request: ChunkRequest, reply: Callable[[ChunkReply, int], None]) -> None:
         """BN entry point (see :meth:`repro.storage.bn.BackendNetwork.call`)."""
         start_ns = self.sim.now
-        core = self.server.cpu.least_loaded()
-        core.submit(self.profile.chunk_cpu_ns, self._after_cpu, request, reply, start_ns)
-
-    def _after_cpu(self, request: ChunkRequest, reply, start_ns: int) -> None:
+        # The SSD is reserved now, from the CPU job's completion, not from
+        # a CPU-done event.  Exact: every chunk job costs ``chunk_cpu_ns``
+        # and goes to the least-loaded core on arrival, and no core's
+        # ``busy_until`` ever falls, so chunk jobs complete in arrival
+        # order (ties too) and the SSD sees, and draws for, the same
+        # operations in the same order with the same start bounds.
+        cpu_done = self.server.cpu.least_loaded().submit(self.profile.chunk_cpu_ns)
         if request.kind == "write":
             self.ssd.submit_write(
-                request.size_bytes, self._finish_write, request, reply, start_ns
+                request.size_bytes, cpu_done, self._finish_write, request, reply, start_ns
             )
         elif request.kind == "read":
             self.ssd.submit_read(
-                request.size_bytes, self._finish_read, request, reply, start_ns
+                request.size_bytes, cpu_done, self._finish_read, request, reply, start_ns
             )
         elif request.kind == "rebuild_read":
             self.ssd.submit_read(
-                request.size_bytes, self._finish_rebuild_read, request, reply, start_ns
+                request.size_bytes, cpu_done, self._finish_rebuild_read,
+                request, reply, start_ns,
             )
         else:  # rebuild_write: one bulk sequential commit
             self.ssd.submit_write(
-                request.size_bytes, self._finish_rebuild_write, request, reply, start_ns
+                request.size_bytes, cpu_done, self._finish_rebuild_write,
+                request, reply, start_ns,
             )
 
     def _finish_write(self, request: ChunkRequest, reply, start_ns: int) -> None:

@@ -43,39 +43,38 @@ class SsdDevice:
         self.bytes_read = 0
         self.bytes_written = 0
 
-    def _occupy(self, service_ns: int, size_bytes: int) -> int:
+    def _occupy(self, service_ns: int, size_bytes: int, not_before: int) -> int:
         transfer_ns = bytes_time_ns(size_bytes, self.profile.device_gbps)
         index = min(range(len(self._channels)), key=self._channels.__getitem__)
-        start = max(self.sim.now, self._channels[index])
+        start = max(not_before, self._channels[index])
         done = start + service_ns + transfer_ns
         self._channels[index] = done
         return done
 
-    @property
-    def busy_until(self) -> int:
-        """Earliest time a new operation could start (least-busy channel)."""
-        return min(self._channels)
-
     def submit_write(
-        self, size_bytes: int, callback: Optional[Callable[..., Any]] = None, *args: Any
+        self, size_bytes: int, not_before: int,
+        callback: Optional[Callable[..., Any]] = None, *args: Any,
     ) -> int:
-        """Write: lands in the write cache (fast path).  Returns done-time."""
+        """Write: lands in the write cache (fast path).  Starts no earlier
+        than ``not_before`` (at least ``now``); returns the done-time."""
         if size_bytes <= 0:
             raise ValueError(f"non-positive write size: {size_bytes}")
         service = lognormal_around(
             self._rng, self.profile.write_cache_ns, self.profile.write_cache_sigma
         )
-        done = self._occupy(service, size_bytes)
+        done = self._occupy(service, size_bytes, not_before)
         self.writes += 1
         self.bytes_written += size_bytes
         if callback is not None:
-            self.sim.schedule_at(done, callback, *args)
+            self.sim.schedule_at_fire(done, callback, *args)
         return done
 
     def submit_read(
-        self, size_bytes: int, callback: Optional[Callable[..., Any]] = None, *args: Any
+        self, size_bytes: int, not_before: int,
+        callback: Optional[Callable[..., Any]] = None, *args: Any,
     ) -> int:
-        """Read: DRAM/SLC cache hit with small probability, NAND otherwise."""
+        """Read: DRAM/SLC cache hit with small probability, NAND otherwise.
+        Starts no earlier than ``not_before``, like :meth:`submit_write`."""
         if size_bytes <= 0:
             raise ValueError(f"non-positive read size: {size_bytes}")
         if self._rng.random() < self.profile.read_cache_hit_ratio:
@@ -84,11 +83,11 @@ class SsdDevice:
             service = lognormal_around(
                 self._rng, self.profile.nand_read_ns, self.profile.nand_read_sigma
             )
-        done = self._occupy(service, size_bytes)
+        done = self._occupy(service, size_bytes, not_before)
         self.reads += 1
         self.bytes_read += size_bytes
         if callback is not None:
-            self.sim.schedule_at(done, callback, *args)
+            self.sim.schedule_at_fire(done, callback, *args)
         return done
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -216,7 +216,7 @@ class MetricScraper:
             raise RuntimeError("scraper already started")
         self._started = True
         self._stop_ns = until_ns
-        self.sim.schedule(self.interval_ns, self._tick)
+        self.sim.schedule_fire(self.interval_ns, self._tick)
 
     # ------------------------------------------------------------------
     def scrape_once(self) -> Snapshot:
@@ -244,4 +244,4 @@ class MetricScraper:
         self.scrape_once()
         next_ns = self.sim.now + self.interval_ns
         if self._stop_ns is None or next_ns <= self._stop_ns:
-            self.sim.schedule(self.interval_ns, self._tick)
+            self.sim.schedule_fire(self.interval_ns, self._tick)

@@ -164,7 +164,7 @@ class StreamConnection:
         side.dupacks = 0
         side.recover_until = -1
         # TX stack traversal, then start producing chunks.
-        self.sim.schedule(self.config.stack_latency_ns, self._produce_chunk, sender)
+        self.sim.schedule_fire(self.config.stack_latency_ns, self._produce_chunk, sender)
 
     def _produce_chunk(self, sender: str) -> None:
         side = self.sides[sender]
@@ -207,7 +207,7 @@ class StreamConnection:
         side = self.sides[sender]
         delay = side.transport.emit_delay_ns(self)
         if delay > 0:
-            self.sim.schedule(delay, self._emit_now, sender, msg, offset, length)
+            self.sim.schedule_fire(delay, self._emit_now, sender, msg, offset, length)
         else:
             self._emit_now(sender, msg, offset, length)
 
@@ -273,7 +273,7 @@ class StreamConnection:
         )
         core = side.transport.pick_core(self)
         done = core.submit(cost)
-        self.sim.schedule_at(
+        self.sim.schedule_at_fire(
             done + self.config.stack_latency_ns,
             side.transport._deliver_message,
             self,

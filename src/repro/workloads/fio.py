@@ -172,7 +172,7 @@ def run_fio(
     the runtime window plus drain."""
     jobs = [FioJob(sim, vd, spec) for vd in vds]
     for job in jobs:
-        sim.schedule(settle_ns, job.start)
+        sim.schedule_fire(settle_ns, job.start)
     sim.run(until=sim.now + settle_ns + spec.runtime_ns)
     for job in jobs:
         job.stop()

@@ -66,7 +66,7 @@ class ProductionWorkload:
 
     def _schedule_next(self) -> None:
         gap_ns = int(self._rng.expovariate(self.target_iops) * 1e9)
-        self.sim.schedule(gap_ns, self._issue)
+        self.sim.schedule_fire(gap_ns, self._issue)
 
     def _issue(self) -> None:
         if self.sim.now >= (self._deadline or 0):

@@ -97,5 +97,5 @@ def replay(
         offset -= offset % 4096
         result.issued += 1
         result.issued_bytes += size
-        sim.schedule(int(record.at_ns * time_scale), issue, record.kind, offset, size)
+        sim.schedule_fire(int(record.at_ns * time_scale), issue, record.kind, offset, size)
     return result

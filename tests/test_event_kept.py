@@ -1,0 +1,50 @@
+"""An ``Event`` is allocated only where a caller keeps it.
+
+``Simulator.schedule``/``schedule_at`` return a cancellable
+:class:`~repro.sim.events.Event`; ``schedule_fire``/``schedule_at_fire``
+queue the same callback in the same ``(time, seq)`` order without one.
+A call whose result is thrown away pays for an object nobody can
+cancel, so model code must use the ``_fire`` form there.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _is_simulator(node: ast.expr) -> bool:
+    """``sim`` or ``<anything>.sim``: how model code names its simulator."""
+    return (isinstance(node, ast.Name) and node.id == "sim") or (
+        isinstance(node, ast.Attribute) and node.attr == "sim"
+    )
+
+
+def _discarded_events(path: Path, root: Path = SRC) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr in ("schedule", "schedule_at")
+        and _is_simulator(node.value.func.value)
+    ]
+
+
+def test_no_discarded_event():
+    found = [site for path in sorted(SRC.rglob("*.py")) for site in _discarded_events(path)]
+    assert found == [], f"use schedule_fire/schedule_at_fire: {found}"
+
+
+def test_guard_sees_a_discarded_event(tmp_path):
+    module = tmp_path / "model.py"
+    module.write_text(
+        "def arm(self, dep):\n"
+        "    self.sim.schedule(5, self.tick)\n"
+        "    dep.sim.schedule_at(9, self.tick)\n"
+        "    self.timer = self.sim.schedule(5, self.tick)\n"
+        "    self.sim.schedule_fire(5, self.tick)\n"
+    )
+    assert _discarded_events(module, tmp_path) == ["model.py:2", "model.py:3"]

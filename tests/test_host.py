@@ -118,6 +118,30 @@ class TestDma:
         assert done == ["x"]
         assert sim.now == 1200
 
+    def test_returned_completion_is_when_the_callback_fires(self):
+        # On a busy link the returned time includes the wait, the wire
+        # time and the per-transfer latency, and both paths agree.
+        def busy_engine():
+            sim = Simulator()
+            pcie = PcieLink(sim, "p", gbps=8.0, per_transfer_latency_ns=300)
+            pcie.transfer(4000)  # busy until 4300
+            return sim, DmaEngine(sim, "dma", pcie, setup_ns=200)
+
+        sim, dma = busy_engine()
+        fired = []
+        returned = dma.read_from_guest(1000, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [returned] == [4300 + 1000 + 300]
+        _, silent = busy_engine()
+        assert silent.read_from_guest(1000) == returned
+
+    def test_setup_bounds_the_start_on_an_idle_link(self):
+        sim = Simulator()
+        pcie = PcieLink(sim, "p", gbps=8.0, per_transfer_latency_ns=0)
+        dma = DmaEngine(sim, "dma", pcie, setup_ns=200)
+        assert dma.write_to_guest(1000) == 1200
+        assert pcie.busy_until == 1200
+
     def test_read_write_counters(self):
         sim = Simulator()
         dma = DmaEngine(sim, "dma", PcieLink(sim, "p", 8.0), setup_ns=0)

@@ -117,13 +117,6 @@ class TestRunControl:
         sim.run_for(50)
         assert sim.now == 50
 
-    def test_max_events_bound(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule(i, lambda: None)
-        processed = sim.run(max_events=4)
-        assert processed == 4
-
     def test_stop_from_callback(self):
         sim = Simulator()
         fired = []
@@ -205,26 +198,6 @@ class TestEdgeCases:
         assert sim.pending_events == 2
         sim.run()
         assert order == ["a", "b", "c", "d"]
-
-    def test_event_budget_does_not_move_clock_past_pending(self):
-        # run(until=, max_events=) stopped by the budget leaves the clock
-        # at the last event, so what is still pending never fires in the past.
-        sim = Simulator()
-        fired = []
-        sim.schedule(10, lambda: fired.append(sim.now))
-        sim.schedule(20, lambda: fired.append(sim.now))
-        assert sim.run(until=100, max_events=1) == 1
-        assert sim.now == 10
-        sim.schedule(5, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [10, 15, 20]
-
-    def test_event_budget_advances_clock_when_nothing_is_due(self):
-        sim = Simulator()
-        sim.schedule(10, lambda: None)
-        sim.schedule(200, lambda: None)
-        assert sim.run(until=100, max_events=1) == 1
-        assert sim.now == 100
 
     def test_until_ignores_cancelled_head(self):
         # A cancelled timer heading the queue must not let a live event
@@ -324,15 +297,13 @@ class KernelAgainstSortedList(RuleBasedStateMachine):
         self.pending.append(entry)
         return entry
 
-    def _run_model(self, until=None, max_events=None):
+    def _run_model(self, until):
         processed = 0
         stopped = False
         while self.pending and not stopped:
             self.pending.sort()
             time, _seq, tag, child_delay, stops = self.pending[0]
-            if until is not None and time > until:
-                break
-            if max_events is not None and processed >= max_events:
+            if time > until:
                 break
             self.pending.pop(0)
             self.now = time
@@ -341,10 +312,8 @@ class KernelAgainstSortedList(RuleBasedStateMachine):
             if child_delay is not None:
                 self._push(time + child_delay, (tag, "child"))
             stopped = stops
-        if until is not None and not stopped and self.now < until:
-            # Only once nothing at or before ``until`` is left to fire.
-            if not self.pending or min(self.pending)[0] > until:
-                self.now = until
+        if not stopped and self.now < until:
+            self.now = until
         return processed
 
     # -- rules ------------------------------------------------------------
@@ -383,17 +352,6 @@ class KernelAgainstSortedList(RuleBasedStateMachine):
     def run_until(self, span):
         until = self.now + span
         assert self.sim.run(until=until) == self._run_model(until=until)
-
-    @rule(count=st.integers(0, 8))
-    def run_max_events(self, count):
-        assert self.sim.run(max_events=count) == self._run_model(max_events=count)
-
-    @rule(span=st.integers(0, 60), count=st.integers(0, 8))
-    def run_until_max_events(self, span, count):
-        until = self.now + span
-        assert self.sim.run(until=until, max_events=count) == self._run_model(
-            until=until, max_events=count
-        )
 
     # -- invariants -------------------------------------------------------
     @invariant()

@@ -104,7 +104,7 @@ class TestSsd:
         sim = Simulator(seed=1)
         ssd = SsdDevice(sim, "s", DEFAULT.ssd)
         done = []
-        ssd.submit_write(4096, lambda: done.append(sim.now))
+        ssd.submit_write(4096, sim.now, lambda: done.append(sim.now))
         sim.run()
         # Write cache: "tens of us" — well under NAND read latency.
         assert 3_000 < done[0] < 60_000
@@ -116,7 +116,7 @@ class TestSsd:
             ssd = SsdDevice(sim, "s", DEFAULT.ssd)
             finishes = []
             for _ in range(60):
-                getattr(ssd, op_name)(4096, lambda: finishes.append(sim.now))
+                getattr(ssd, op_name)(4096, sim.now, lambda: finishes.append(sim.now))
                 sim.run()
             deltas = [b - a for a, b in zip([0] + finishes, finishes)]
             return sum(deltas) / len(deltas)
@@ -129,7 +129,7 @@ class TestSsd:
         ssd = SsdDevice(sim, "s", profile)
         finish = []
         for _ in range(profile.channels):
-            ssd.submit_write(4096, lambda: finish.append(sim.now))
+            ssd.submit_write(4096, sim.now, lambda: finish.append(sim.now))
         sim.run()
         # All ops ran concurrently: the last completion is far below
         # channels * single-op latency.
@@ -138,9 +138,9 @@ class TestSsd:
     def test_invalid_sizes_rejected(self):
         ssd = SsdDevice(Simulator(), "s", DEFAULT.ssd)
         with pytest.raises(ValueError):
-            ssd.submit_write(0)
+            ssd.submit_write(0, 0)
         with pytest.raises(ValueError):
-            ssd.submit_read(-1)
+            ssd.submit_read(-1, 0)
 
 
 class TestSegmentTable:
