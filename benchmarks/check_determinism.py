@@ -76,11 +76,11 @@ from repro.scenario import (
 from repro.sim import MS
 from repro.workloads import FioJob, FioSpec
 
-KERNEL_EVENTS = 970_990
+KERNEL_EVENTS = 926_114
 KERNEL_IOS = 18_127
 
-FLEET_DIGEST = "84add1637edeec96e9f80562e352b42f0dd854e66bee052c88124eecab15683b"
-FLEET_EVENTS = 160_379
+FLEET_DIGEST = "3e31cdb63457b42d39cd4023f286b1858b43ad190fb8180582fff57950f03e23"
+FLEET_EVENTS = 156_357
 FLEET_IOS = 3_257
 FLEET_WORKERS = (1, 2)
 
@@ -101,18 +101,18 @@ REPLAY_DIGESTS = {
     "chaos provision-on-dead-node": "eedd298e58f95d5f",
     "chaos rebuild-source-loss": "abd203eeb30ca221",
     "chaos silent-tor-hang": "1d95d1131b0a6db9",
-    "lab fio@luna": "b7c8a81b10a15354",
-    "lab isolated@solar": "f3085ee269e1c66c",
-    "lab rebuild-reactive": "68b177c89ad57081",
+    "lab fio@luna": "2ead1eefd650909a",
+    "lab isolated@solar": "d1f2f89a71d4463b",
+    "lab rebuild-reactive": "8f6e3b30c145d4f1",
     "monitor": "5150514b42ae0898",
-    "lab upgrade kernel->luna": "06110f5f9c256bea",
-    "run rebuild (CI drill)": "e32eb7aa86f3fab2",
-    "run sweep (CI point)": "efcac2d5804d8b77",
+    "lab upgrade kernel->luna": "15c78829a719fc84",
+    "run rebuild (CI drill)": "24cbd1245024b6cc",
+    "run sweep (CI point)": "aa34106a85e9d7de",
 }
 
 #: ``run examples/specs/ci-fleet.json --json``: the fleet digest, equal
 #: at every worker count.
-CI_FLEET_DIGEST = "b43b501d40eb8a09edb526f2dba2f4a5d6d53e04b99570689b1fad168023c20a"
+CI_FLEET_DIGEST = "2ae34b123752f4993877b4b2f3643c390b09c8dec50164d42d2e9f0c25d3c9e4"
 CI_FLEET_WORKERS = (1, 4)
 
 #: The quick subcommands whose stdout and exit status are pinned.

@@ -13,12 +13,10 @@ dispatch (the kernel stack's softirq steering approximation).
 from __future__ import annotations
 
 import zlib
-from operator import attrgetter
+from heapq import heapreplace
 from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.engine import Simulator
-
-_busy_until = attrgetter("busy_until")
 
 
 class CpuCore:
@@ -45,7 +43,10 @@ class CpuCore:
         cost_ns = int(cost_ns)
         if cost_ns < 0:
             raise ValueError(f"negative CPU cost: {cost_ns}")
-        start = max(self.sim.now, self.busy_until)
+        start = self.busy_until
+        now = self.sim.now
+        if now > start:
+            start = now
         done = start + cost_ns
         self.busy_until = done
         self.busy_ns_total += cost_ns
@@ -58,13 +59,6 @@ class CpuCore:
     def queue_delay_ns(self) -> int:
         """How long a job submitted right now would wait before starting."""
         return max(0, self.busy_until - self.sim.now)
-
-    def utilization(self, window_ns: int) -> float:
-        """Fraction of the last ``window_ns`` the core spent busy
-        (approximate: assumes work was spread over the window)."""
-        if window_ns <= 0:
-            return 0.0
-        return min(1.0, self.busy_ns_total / window_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CpuCore {self.name} qdelay={self.queue_delay_ns}ns>"
@@ -82,6 +76,9 @@ class CpuComplex:
             CpuCore(sim, f"{name}/c{i}", ghz) for i in range(cores)
         ]
         self._pin_cache: Dict[str, CpuCore] = {}
+        #: ``(busy_until, index, core)`` per core, a min-heap for
+        #: :meth:`least_loaded`; an entry may lag its core (see there).
+        self._load = [(0, i, core) for i, core in enumerate(self.cores)]
 
     def pinned(self, key: str) -> CpuCore:
         """Share-nothing dispatch: a stable key always lands on one core.
@@ -98,8 +95,18 @@ class CpuComplex:
         return core
 
     def least_loaded(self) -> CpuCore:
-        """Pick the core that would start new work soonest."""
-        return min(self.cores, key=_busy_until)
+        """Pick the core that would start new work soonest: the lowest
+        ``busy_until``, the lowest index among ties."""
+        # Exact: only ``CpuCore.submit`` writes ``busy_until`` and never
+        # lowers it, so an entry not refreshed since (after ``pinned()``
+        # or a direct submit) can only understate its core; the first
+        # top whose key is current is the ``(busy_until, index)`` minimum.
+        load = self._load
+        busy_until, index, core = load[0]
+        while core.busy_until != busy_until:
+            heapreplace(load, (core.busy_until, index, core))
+            busy_until, index, core = load[0]
+        return core
 
     def total_busy_ns(self) -> int:
         return sum(core.busy_ns_total for core in self.cores)

@@ -28,7 +28,10 @@ paths re-arming RTOs per message) cannot grow it without bound.
 
 Model code schedules only through the ``schedule*``/``call_soon``
 methods and never touches the heap: those methods are the one seam
-through which every event enters the queue.
+through which every event enters the queue.  A :class:`Join` (from
+:meth:`Simulator.join`) folds N arrivals into one event; it reserves
+each arrival's ``seq`` here in the kernel and still queues its one
+event through ``schedule_at_fire``.
 """
 
 from __future__ import annotations
@@ -128,6 +131,12 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (time_ns, seq, None, fn, args))
+
+    def join(self, count: int, fn: Callable[..., Any], *args: Any) -> "Join":
+        """Fold ``count`` arrivals into one event: see :class:`Join`."""
+        if count < 1:
+            raise ValueError(f"a join needs at least one arrival, got {count}")
+        return Join(self, count, fn, args)
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current instant (after pending events)."""
@@ -241,3 +250,52 @@ class Simulator:
             f"<Simulator now={format_ns(self.now)} pending={self.pending_events} "
             f"processed={self.events_processed}>"
         )
+
+
+class Join:
+    """``count`` arrivals that fire ``fn(*args, values)`` once, as one event.
+
+    Each :meth:`arrive` stands for a ``schedule_at_fire(time_ns, ...)``
+    made at that instant and takes the ``seq`` that call would take.
+    The last arrival queues ``fn`` at the latest ``(time, seq)`` among
+    them, with ``values`` in ``(time, seq)`` order: exactly where and
+    with what the last of ``count`` separate events would have run, so
+    every other event keeps its place and only ``count - 1`` no-op
+    events are gone.
+    """
+
+    __slots__ = ("_sim", "_count", "_fn", "_args", "_arrivals")
+
+    def __init__(self, sim: Simulator, count: int, fn: Callable[..., Any], args: tuple):
+        self._sim = sim
+        self._count = count
+        self._fn = fn
+        self._args = args
+        self._arrivals: list = []
+
+    def arrive(self, time_ns: int, value: Any) -> None:
+        """One arrival, due at absolute ``time_ns``, carrying ``value``."""
+        sim = self._sim
+        time_ns = int(time_ns)
+        if time_ns < sim.now:
+            raise SimulationError(
+                f"cannot arrive at {format_ns(time_ns)}; now is {format_ns(sim.now)}"
+            )
+        arrivals = self._arrivals
+        if len(arrivals) == self._count:
+            raise SimulationError(f"join of {self._count} arrivals already complete")
+        seq = sim._seq
+        sim._seq = seq + 1
+        arrivals.append((time_ns, seq, value))
+        if len(arrivals) < self._count:
+            return
+        # ``seq`` is unique, so the sort never compares values.
+        arrivals.sort()
+        last_time, last_seq, _ = arrivals[-1]
+        # Queue through ``schedule_at_fire`` under the last arrival's
+        # reserved seq, then give the counter back: the event sits where
+        # the last of the separate events would have sat.
+        resume = sim._seq
+        sim._seq = last_seq
+        sim.schedule_at_fire(last_time, self._fn, *self._args, [a[2] for a in arrivals])
+        sim._seq = resume

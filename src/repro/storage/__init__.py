@@ -1,5 +1,5 @@
 """Storage substrate: blocks, CRC algebra, crypto, SSDs, chunk/block
-servers, segment and QoS tables, replication, and the backend network."""
+servers, segment and QoS tables, and the backend network."""
 
 from .block import DataBlock, split_into_blocks
 from .block_server import BlockServer
@@ -15,7 +15,6 @@ from .crc import (
 )
 from .crypto import BlockCipher
 from .qos import QosSpec, QosTable, TokenBucket
-from .replication import QuorumTracker
 from .segment_table import (
     BLOCKS_PER_SEGMENT,
     Extent,
@@ -43,7 +42,6 @@ __all__ = [
     "ChunkReply",
     "BlockServer",
     "BackendNetwork",
-    "QuorumTracker",
     "Segment",
     "Extent",
     "SegmentTable",

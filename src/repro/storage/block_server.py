@@ -16,7 +16,6 @@ from ..sim.engine import Simulator
 from .block import DataBlock
 from .bn import BackendNetwork
 from .chunk_server import ChunkReply, ChunkRequest, ChunkServer
-from .replication import QuorumTracker
 from .segment_table import Segment
 
 
@@ -78,7 +77,6 @@ class BlockServer:
     def _fan_out_write(
         self, segment: Segment, block: DataBlock, crc: int, on_done
     ) -> None:
-        tracker = QuorumTracker(len(segment.replicas), on_done)
         request = ChunkRequest(
             "write",
             segment.segment_id,
@@ -88,14 +86,13 @@ class BlockServer:
             data=block.data,
             crc=crc,
         )
-        for replica in segment.replicas:
-            chunk = self._chunk(replica)
-            self.bn.call(
-                chunk.handle,
-                request,
-                block.size_bytes + 128,
-                lambda reply, t=tracker: t.complete(reply.ok, reply),
-            )
+        self.bn.fan_out(
+            [self._chunk(replica).handle for replica in segment.replicas],
+            request,
+            block.size_bytes + 128,
+            _all_landed,
+            on_done,
+        )
 
     # ------------------------------------------------------------------
     def handle_read(
@@ -128,3 +125,8 @@ class BlockServer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BlockServer {self.name} w={self.writes} r={self.reads}>"
+
+
+def _all_landed(on_done, replies: List[ChunkReply]) -> None:
+    """Full-write quorum (§2.2): the block is written only if every copy is."""
+    on_done(all(reply.ok for reply in replies), replies)

@@ -16,7 +16,7 @@ fraction of the simulation cost.  (DESIGN.md records this substitution.)
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any, Callable, Dict, Sequence
 
 from ..profiles import Profiles, bytes_time_ns
 from ..sim.engine import Simulator
@@ -53,12 +53,18 @@ class BackendNetwork:
         )
         self._header_bytes = net.header_overhead_bytes
         self._fabric_gbps = net.fabric_gbps
+        #: ``fixed + wire`` by message size: a run sends a handful of sizes.
+        self._base_ns: Dict[int, int] = {}
 
     def one_way_ns(self, size_bytes: int) -> int:
         """Sampled one-way delay for a message of the given size."""
-        wire = bytes_time_ns(size_bytes + self._header_bytes, self._fabric_gbps)
+        base = self._base_ns.get(size_bytes)
+        if base is None:
+            base = self._base_ns[size_bytes] = self._fixed_ns + bytes_time_ns(
+                size_bytes + self._header_bytes, self._fabric_gbps
+            )
         jitter = math.exp(self._rng.gauss(0.0, 0.05))
-        return max(1, int((self._fixed_ns + wire) * jitter))
+        return max(1, int(base * jitter))
 
     def call(
         self,
@@ -80,3 +86,31 @@ class BackendNetwork:
             self.sim.schedule_fire(self.one_way_ns(size_bytes), on_reply, value)
 
         self.sim.schedule_fire(self.one_way_ns(request_size), handler, request, reply)
+
+    def fan_out(
+        self,
+        handlers: Sequence[Callable[[Any, Callable[[Any, int], None]], None]],
+        request: Any,
+        request_size: int,
+        on_all: Callable[..., None],
+        *args: Any,
+    ) -> None:
+        """One RPC per handler, all with the same request, answered once.
+
+        ``on_all(*args, replies)`` runs after the last reply lands, with
+        every reply in landing order.  Each reply draws its delay when
+        the callee replies and arrives at a :class:`~repro.sim.engine.Join`
+        in place of an event of its own: the same draws in the same order
+        as :meth:`call`, and the join fires where the last reply's event
+        would have fired.
+        """
+        self.calls += len(handlers)
+        sim = self.sim
+        arrive = sim.join(len(handlers), on_all, *args).arrive
+        one_way_ns = self.one_way_ns
+
+        def reply(value: Any, size_bytes: int) -> None:
+            arrive(sim.now + one_way_ns(size_bytes), value)
+
+        for handler in handlers:
+            sim.schedule_fire(one_way_ns(request_size), handler, request, reply)

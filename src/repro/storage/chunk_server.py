@@ -55,7 +55,7 @@ class ChunkRequest:
             raise ValueError(f"bad chunk request kind: {self.kind!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkReply:
     ok: bool
     kind: str

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from heapq import heapreplace
 from typing import Any, Callable, Optional
 
 from ..profiles import SsdProfile, bytes_time_ns
@@ -36,8 +37,9 @@ class SsdDevice:
         self.name = name
         self.profile = profile
         self._rng = sim.rng.stream(f"ssd/{name}")
-        #: One busy-until horizon per internal channel (k-server queue).
-        self._channels = [0] * max(1, profile.channels)
+        #: ``(free_at, index)`` per internal channel (k-server queue), a
+        #: min-heap: its top is the channel :meth:`_occupy` takes next.
+        self._channels = [(0, i) for i in range(max(1, profile.channels))]
         self.reads = 0
         self.writes = 0
         self.bytes_read = 0
@@ -45,10 +47,12 @@ class SsdDevice:
 
     def _occupy(self, service_ns: int, size_bytes: int, not_before: int) -> int:
         transfer_ns = bytes_time_ns(size_bytes, self.profile.device_gbps)
-        index = min(range(len(self._channels)), key=self._channels.__getitem__)
-        start = max(not_before, self._channels[index])
+        # Exact: ``_occupy`` is the heap's only writer, so its top is
+        # always the earliest-free channel, the lowest index among ties.
+        free_at, index = self._channels[0]
+        start = not_before if not_before > free_at else free_at
         done = start + service_ns + transfer_ns
-        self._channels[index] = done
+        heapreplace(self._channels, (done, index))
         return done
 
     def submit_write(

@@ -5,6 +5,10 @@
 queue the same callback in the same ``(time, seq)`` order without one.
 A call whose result is thrown away pays for an object nobody can
 cancel, so model code must use the ``_fire`` form there.
+
+Only the kernel touches the queue: the ``schedule*`` methods are the
+one seam through which events enter it, so no module outside
+``repro/sim/engine.py`` may read or write ``._heap`` or ``._seq``.
 """
 
 import ast
@@ -48,3 +52,38 @@ def test_guard_sees_a_discarded_event(tmp_path):
         "    self.sim.schedule_fire(5, self.tick)\n"
     )
     assert _discarded_events(module, tmp_path) == ["model.py:2", "model.py:3"]
+
+
+KERNEL = Path("repro", "sim", "engine.py")
+
+
+def _queue_touches(path: Path, root: Path = SRC) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("_heap", "_seq")
+    )
+    return [f"{path.relative_to(root)}:{line}" for line in lines]
+
+
+def test_only_the_kernel_touches_the_queue():
+    found = [
+        site
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC) != KERNEL
+        for site in _queue_touches(path)
+    ]
+    assert found == [], f"schedule through Simulator.schedule*/join: {found}"
+
+
+def test_guard_sees_a_queue_touch(tmp_path):
+    module = tmp_path / "model.py"
+    module.write_text(
+        "def cut_in(self, entry):\n"
+        "    self.sim._heap.append(entry)\n"
+        "    seq = self.sim._seq\n"
+        "    self.sim._seq = seq + 1\n"
+        "    self.heap = self.sim.schedule_fire(5, self.tick)\n"
+    )
+    assert _queue_touches(module, tmp_path) == ["model.py:2", "model.py:3", "model.py:4"]

@@ -6,6 +6,8 @@ two-event reference it replaced, kept here.
 * A DMA engine starts its PCIe transfer at ``now + setup_ns`` at the
   earliest; the reference fires a setup event and starts the transfer
   from it.
+* A block server's replica replies land on one join; the reference
+  gives every reply an event of its own and acks from the last one.
 
 Random arrival streams drive both sides from identically scheduled
 events, and everything the rest of the model can see must match: reply
@@ -23,6 +25,7 @@ from repro.host.server import StorageServer
 from repro.net.endpoint import Endpoint
 from repro.profiles import BLOCK_SIZE, DEFAULT
 from repro.sim import Simulator
+from repro.storage import BackendNetwork, BlockServer, DataBlock, Segment
 from repro.storage.chunk_server import CHUNK_REQUEST_KINDS, ChunkRequest, ChunkServer
 
 
@@ -159,3 +162,132 @@ def test_dma_matches_setup_event_reference(ops, setup_ns):
     assert (done, link) == (ref_done, ref_link)
     # The folded engine returns each operation's completion time.
     assert all(returned[index] == t for t, index in done)
+
+
+class EventPerReplyBlockServer(BlockServer):
+    """The reference: each replica reply is an event, and the last to
+    land acks the block.  It also notes when each reply was sent and
+    when it landed, per block, in ``timings``."""
+
+    def _fan_out_write(self, segment, block, crc, on_done):
+        request = ChunkRequest("write", segment.segment_id, block.vd_id, block.lba,
+                               block.size_bytes, data=block.data, crc=crc)
+        replies = []
+        timing = []
+        self.timings.append(timing)
+
+        def landed(sent_reply):
+            sent_ns, reply = sent_reply
+            timing.append((sent_ns, self.sim.now))
+            replies.append(reply)
+            if len(replies) == len(segment.replicas):
+                on_done(all(r.ok for r in replies), replies)
+
+        def noting_send(chunk):
+            def handle(request, reply):
+                chunk.handle(request, lambda value, size: reply((self.sim.now, value), size))
+            return handle
+
+        for replica in segment.replicas:
+            self.bn.call(noting_send(self._chunk(replica)), request,
+                         block.size_bytes + 128, landed)
+
+
+#: One write: (gap after the previous one, replicas, size in bytes).
+WRITES = st.lists(
+    st.tuples(st.sampled_from([0, 0, 1, 2_000, 15_000]), st.integers(1, 3),
+              st.sampled_from([512, BLOCK_SIZE])),
+    min_size=1,
+    max_size=30,
+)
+#: One foreign read, due when a block's last reply lands (its ack):
+#: (which block, when it is queued).  It is queued either at one of that
+#: block's reply sends (or 1 ns after), which puts its seq between the
+#: replies' seqs, or a fixed lead before it is due.
+FOREIGN = st.lists(
+    st.tuples(
+        st.integers(0, 999),
+        st.one_of(
+            st.tuples(st.just("send"), st.integers(0, 2), st.sampled_from([0, 1])),
+            st.tuples(st.just("lead"), st.sampled_from([0, 1, 700, 20_000]), st.just(0)),
+        ),
+    ),
+    max_size=20,
+)
+
+
+def run_block_server(cls, writes, foreign, seed, ssd_sigma, timings=()):
+    """Acks and foreign reads in fired order, RNG states and event count.
+    ``timings`` are the reference's per-block (sent, landed) reply times,
+    from which each foreign read takes its due and queueing instants; it
+    draws from the same BN and SSD streams as the writes.  ``ssd_sigma``
+    0 makes the replicas' SSD times differ only by the BN jitter, so the
+    last reply to land is often not the last one sent."""
+    sim = Simulator(seed=seed)
+    profile = dataclasses.replace(DEFAULT.ssd, write_cache_sigma=ssd_sigma)
+    chunks = {}
+    for i in range(3):
+        server = StorageServer(sim, Endpoint(sim, f"chunk{i}"), "chunk", cores=2)
+        chunks[server.name] = ChunkServer(sim, server, profile)
+    bn = BackendNetwork(sim, DEFAULT, "rdma")
+    block_server = cls(sim, StorageServer(sim, Endpoint(sim, "bs0"), "block", cores=2),
+                       bn, chunks, DEFAULT.ssd)
+    block_server.timings = []
+    names = tuple(chunks)
+    fired = []
+
+    def ack(index, ok, replies):
+        fired.append((sim.now, "ack", index, ok,
+                      [(r.segment_id, r.lba, r.service_ns) for r in replies]))
+
+    def write(index, replicas, size):
+        segment = Segment(f"seg{replicas}", "vd", 0, 1024, "bs0", names[:replicas])
+        block = DataBlock("vd", index, size)
+        block_server.handle_write(segment, block, block.crc,
+                                  lambda ok, replies: ack(index, ok, replies))
+
+    def read(index):
+        fired.append((sim.now, "foreign", index))
+        chunk = chunks[names[index % 3]]
+        bn.call(chunk.handle, ChunkRequest("read", "seg3", "vd", index, BLOCK_SIZE), 128,
+                lambda reply: fired.append((sim.now, "read", index, reply.service_ns)))
+
+    def arm(due_ns, index):
+        sim.schedule_at_fire(due_ns, read, index)
+
+    at = 0
+    for index, (gap, replicas, size) in enumerate(writes):
+        at += gap
+        sim.schedule_at_fire(at, write, index, replicas, size)
+    for index, (pick, (how, value, nudge)) in enumerate(foreign):
+        if not timings:
+            break
+        timing = timings[pick % len(timings)]
+        due_ns = max(landed for _, landed in timing)
+        if how == "send":
+            queue_ns = min(due_ns, timing[value % len(timing)][0] + nudge)
+        else:
+            queue_ns = max(0, due_ns - value)
+        sim.schedule_at_fire(queue_ns, arm, due_ns, index)
+    sim.run()
+    streams = [bn._rng.getstate()] + [c.ssd._rng.getstate() for c in chunks.values()]
+    return fired, streams, sim.events_processed, block_server.timings
+
+
+@settings(max_examples=150, deadline=None)
+@given(writes=WRITES, foreign=FOREIGN, seed=st.integers(0, 3),
+       ssd_sigma=st.sampled_from([0.0, DEFAULT.ssd.write_cache_sigma]))
+def test_block_server_fan_out_matches_event_per_reply_reference(writes, foreign, seed,
+                                                                ssd_sigma):
+    # The reference's reply times, found without foreign reads, place the
+    # foreign reads; both runs then get the same ones.
+    timings = run_block_server(EventPerReplyBlockServer, writes, [], seed, ssd_sigma)[3]
+    fired, streams, events, _ = run_block_server(
+        BlockServer, writes, foreign, seed, ssd_sigma, timings
+    )
+    ref_fired, ref_streams, ref_events, _ = run_block_server(
+        EventPerReplyBlockServer, writes, foreign, seed, ssd_sigma, timings
+    )
+    assert (fired, streams) == (ref_fired, ref_streams)
+    # Only the no-op replies are gone: all but one per block.
+    assert events == ref_events - sum(replicas - 1 for _, replicas, _ in writes)

@@ -1,6 +1,8 @@
 """Tests for the host substrate: CPU, PCIe, DMA, NVMe, FPGA, DPU."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.host import (
     AliDpu,
@@ -76,6 +78,34 @@ class TestCpuComplex:
     def test_at_least_one_core(self):
         with pytest.raises(ValueError):
             CpuComplex(Simulator(), "cpu", 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cores=st.integers(1, 32),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["least", "pinned", "direct", "advance"]),
+                st.integers(0, 40),
+                st.sampled_from([0, 0, 100, 100, 250, 1_000]),
+            ),
+            max_size=80,
+        ),
+    )
+    def test_least_loaded_matches_a_linear_scan(self, cores, steps):
+        # The reference is the scan the heap replaced: the lowest
+        # busy_until, the lowest index among ties.
+        sim = Simulator()
+        cpu = CpuComplex(sim, "cpu", cores)
+        for action, arg, cost in steps:
+            if action == "least":
+                cpu.least_loaded().submit(cost)
+            elif action == "pinned":
+                cpu.pinned(f"conn-{arg}").submit(cost)
+            elif action == "direct":
+                cpu.cores[arg % cores].submit(cost)
+            else:
+                sim.run(until=sim.now + arg * 50)
+            assert cpu.least_loaded() is min(cpu.cores, key=lambda k: k.busy_until)
 
 
 class TestPcie:

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     Bundle,
@@ -146,6 +146,104 @@ class TestRunControl:
         sim.schedule(9, lambda: None)
         first.cancel()
         assert sim.peek_time() == 9
+
+
+def _run_arrivals(actions, joined):
+    """Fired order and event count of one run.  ``actions`` are
+    ``(gap, kind, delay)``, each made ``gap`` after the previous one:
+    ``"arrive"`` is one of the N replies, due ``delay`` later, and
+    ``"foreign"`` an unrelated event due ``delay`` later.  The joined run
+    folds the replies with :meth:`Simulator.join`; the reference gives
+    each reply its own event and acts on the last one."""
+    sim = Simulator()
+    fired = []
+    count = sum(kind == "arrive" for _, kind, _ in actions)
+
+    def note(tag, value):
+        fired.append((sim.now, tag, value))
+
+    if joined:
+        arrive = sim.join(count, note, "all").arrive
+    else:
+        landed = []
+
+        def land(value):
+            landed.append(value)
+            if len(landed) == count:
+                note("all", landed)
+
+        def arrive(time_ns, value):
+            sim.schedule_at_fire(time_ns, land, value)
+
+    def act(index, kind, delay):
+        if kind == "arrive":
+            arrive(sim.now + delay, index)
+        else:
+            sim.schedule_at_fire(sim.now + delay, note, "foreign", index)
+
+    at = 0
+    for index, (gap, kind, delay) in enumerate(actions):
+        at += gap
+        sim.schedule_at_fire(at, act, index, kind, delay)
+    sim.run()
+    return fired, sim.events_processed
+
+
+class TestJoin:
+    @settings(max_examples=400, deadline=None)
+    @given(actions=st.lists(
+        st.tuples(
+            st.sampled_from([0, 0, 1, 3]),
+            st.sampled_from(["arrive", "arrive", "foreign"]),
+            st.sampled_from([0, 0, 1, 2, 5]),
+        ),
+        min_size=1,
+        max_size=12,
+    ))
+    def test_fires_where_the_last_of_separate_events_would(self, actions):
+        count = sum(kind == "arrive" for _, kind, _ in actions)
+        assume(count >= 1)
+        fired, events = _run_arrivals(actions, joined=True)
+        ref_fired, ref_events = _run_arrivals(actions, joined=False)
+        assert fired == ref_fired
+        assert events == ref_events - (count - 1)
+
+    def test_foreign_event_between_arrivals_at_the_same_nanosecond(self):
+        # The latest arrival (20 ns) is made first; a foreign event is
+        # queued for the same nanosecond before the last arrival (10 ns)
+        # completes the join.  The join must keep the first arrival's
+        # place, ahead of the foreign event.
+        actions = [(0, "arrive", 20), (0, "foreign", 20), (0, "arrive", 10)]
+        fired, _ = _run_arrivals(actions, joined=True)
+        assert fired == [(20, "all", [2, 0]), (20, "foreign", 1)]
+        assert fired == _run_arrivals(actions, joined=False)[0]
+
+    def test_passes_args_before_values(self):
+        sim = Simulator()
+        got = []
+        join = sim.join(2, lambda a, b, values: got.append((a, b, values)), "a", "b")
+        join.arrive(5, "x")
+        join.arrive(5, "y")
+        sim.run()
+        assert got == [("a", "b", ["x", "y"])]
+
+    def test_arrival_in_the_past_rejected(self):
+        sim = Simulator()
+        sim.run(until=100)
+        join = sim.join(2, lambda values: None)
+        with pytest.raises(SimulationError):
+            join.arrive(99, "late")
+
+    def test_extra_arrival_rejected(self):
+        sim = Simulator()
+        join = sim.join(1, lambda values: None)
+        join.arrive(0, "only")
+        with pytest.raises(SimulationError):
+            join.arrive(0, "extra")
+
+    def test_needs_an_arrival(self):
+        with pytest.raises(ValueError):
+            Simulator().join(0, lambda values: None)
 
 
 class TestEdgeCases:

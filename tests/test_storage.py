@@ -1,5 +1,7 @@
 """Tests for the storage substrate: blocks, crypto, SSD, segment/QoS
-tables, chunk/block servers, replication, BN."""
+tables, chunk/block servers, BN."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.host.server import StorageServer
 from repro.net import Endpoint
-from repro.profiles import BLOCK_SIZE, DEFAULT
+from repro.profiles import BLOCK_SIZE, DEFAULT, bytes_time_ns
 from repro.sim import Simulator, US
 from repro.storage import (
     BackendNetwork,
@@ -19,7 +21,6 @@ from repro.storage import (
     DataBlock,
     QosSpec,
     QosTable,
-    QuorumTracker,
     SegmentTable,
     SsdDevice,
     TokenBucket,
@@ -99,6 +100,22 @@ class TestCipher:
         assert cipher.decrypt("vd", lba, cipher.encrypt("vd", lba, data)) == data
 
 
+class LinearScanSsd(SsdDevice):
+    """The reference: the scan over channel horizons the heap replaced."""
+
+    def __init__(self, sim, name, profile):
+        super().__init__(sim, name, profile)
+        self.free_at = [0] * max(1, profile.channels)
+
+    def _occupy(self, service_ns, size_bytes, not_before):
+        transfer_ns = bytes_time_ns(size_bytes, self.profile.device_gbps)
+        index = min(range(len(self.free_at)), key=self.free_at.__getitem__)
+        start = max(not_before, self.free_at[index])
+        done = start + service_ns + transfer_ns
+        self.free_at[index] = done
+        return done
+
+
 class TestSsd:
     def test_write_uses_cache_latency(self):
         sim = Simulator(seed=1)
@@ -134,6 +151,39 @@ class TestSsd:
         # All ops ran concurrently: the last completion is far below
         # channels * single-op latency.
         assert max(finish) < profile.write_cache_ns * 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        channels=st.sampled_from([1, 2, 16]),
+        seed=st.integers(0, 3),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from([1, 4, 16]),
+                st.sampled_from([0, 0, 1, 3_000, 20_000]),
+                st.sampled_from([0, 0, 500, 5_000, 40_000]),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_channel_heap_matches_a_linear_scan(self, channels, seed, ops):
+        profile = dataclasses.replace(DEFAULT.ssd, channels=channels)
+
+        def run(cls):
+            sim = Simulator(seed=seed)
+            ssd = cls(sim, "s", profile)
+            done = []
+            for is_write, blocks, gap, lead in ops:
+                sim.run(until=sim.now + gap)
+                submit = ssd.submit_write if is_write else ssd.submit_read
+                done.append(submit(blocks * BLOCK_SIZE, sim.now + lead))
+            return done, ssd._rng.getstate(), ssd
+
+        done, rng, ssd = run(SsdDevice)
+        ref_done, ref_rng, ref = run(LinearScanSsd)
+        assert (done, rng) == (ref_done, ref_rng)
+        # Each channel holds the same horizon: ties went to the lowest index.
+        assert sorted(ssd._channels) == sorted((t, i) for i, t in enumerate(ref.free_at))
 
     def test_invalid_sizes_rejected(self):
         ssd = SsdDevice(Simulator(), "s", DEFAULT.ssd)
@@ -388,45 +438,6 @@ class TestQos:
         table.admit("vd", 0, 4096)
         delay = table.admit("vd", 0, 4096)
         assert delay > 0
-
-
-class TestQuorum:
-    def test_all_success(self):
-        results = []
-        tracker = QuorumTracker(3, lambda ok, r: results.append(ok))
-        for _ in range(3):
-            tracker.complete(True, "r")
-        assert results == [True]
-
-    def test_fires_once(self):
-        results = []
-        tracker = QuorumTracker(2, lambda ok, r: results.append(ok))
-        tracker.complete(True)
-        tracker.complete(True)
-        tracker.complete(True)
-        assert results == [True]
-
-    def test_failure_detected(self):
-        results = []
-        tracker = QuorumTracker(3, lambda ok, r: results.append(ok))
-        tracker.complete(True)
-        tracker.complete(False)
-        tracker.complete(False)
-        assert results == [False]
-
-    def test_partial_quorum(self):
-        results = []
-        tracker = QuorumTracker(3, lambda ok, r: results.append(ok), required=2)
-        tracker.complete(False)
-        tracker.complete(True)
-        tracker.complete(True)
-        assert results == [True]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuorumTracker(0, lambda ok, r: None)
-        with pytest.raises(ValueError):
-            QuorumTracker(3, lambda ok, r: None, required=4)
 
 
 def _storage_stack(sim, n_chunks=3):
