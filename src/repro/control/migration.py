@@ -98,6 +98,7 @@ class LiveMigration:
         if drain_timeout_ns is not None and drain_timeout_ns <= 0:
             raise ValueError(f"drain timeout must be positive: {drain_timeout_ns}")
         self.sim = sim
+        self._timers = sim.timers()
         self.attach_latency_ns = attach_latency_ns
         self.drain_timeout_ns = drain_timeout_ns
         self.completed: int = 0
@@ -138,7 +139,7 @@ class LiveMigration:
         vd.pause()
         timer = None
         if self.drain_timeout_ns is not None:
-            timer = self.sim.schedule(
+            timer = self._timers.add(
                 self.drain_timeout_ns, self._drain_timeout, vd, report, on_abort
             )
         vd.when_drained(
@@ -184,7 +185,7 @@ class LiveMigration:
         if report.aborted:
             return  # the drain finally completed, but the abort won
         if timer is not None:
-            timer.cancel()
+            self._timers.cancel(timer)
         report.drained_ns = self.sim.now
         self.sim.schedule_fire(
             self.attach_latency_ns,

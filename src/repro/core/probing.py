@@ -21,7 +21,6 @@ from typing import Optional
 
 from ..net.packet import Packet
 from ..sim.engine import Simulator
-from ..sim.events import Event
 from ..transport.udp import DatagramSocket
 
 PROBE_OP = "path_probe"
@@ -56,7 +55,8 @@ class PathProber:
         self.paths_failed_by_probe = 0
         self._outstanding: dict[int, tuple] = {}
         self._lost_streak: dict[int, int] = {}
-        self._timer: Optional[Event] = None
+        self._timers = sim.timers()
+        self._timer: Optional[list] = None
         self._running = False
 
     # ------------------------------------------------------------------
@@ -69,7 +69,7 @@ class PathProber:
     def stop(self) -> None:
         self._running = False
         if self._timer is not None:
-            self._timer.cancel()
+            self._timers.cancel(self._timer)
             self._timer = None
 
     def _tick(self) -> None:
@@ -77,7 +77,7 @@ class PathProber:
             return
         for path in self.manager.paths:
             self._probe_path(path)
-        self._timer = self.sim.schedule(self.interval_ns, self._tick)
+        self._timer = self._timers.add(self.interval_ns, self._tick)
 
     def _probe_path(self, path) -> None:
         probe_id = next(_probe_ids)

@@ -38,7 +38,6 @@ from ..net.endpoint import Endpoint
 from ..net.packet import Packet
 from ..profiles import Profiles
 from ..sim.engine import Simulator
-from ..sim.events import Event
 from ..storage.block import DataBlock
 from ..storage.block_server import BlockServer
 from ..storage.chunk_server import ChunkReply
@@ -85,7 +84,8 @@ class SolarPacket:
     sent_ns: int = 0
     path: Optional[PathState] = None
     path_seq: int = -1
-    timer: Optional[Event] = None
+    #: Retransmit timer: a handle in the client's ``Timers``.
+    timer: Optional[list] = None
     #: For READ: CRC the FPGA computed on the received block.
     fpga_crc: int = 0
     header_crc: int = 0
@@ -111,8 +111,8 @@ class SolarRpc:
     #: Server-side annotations from the critical (slowest) packet.
     storage_ns: int = 0
     ssd_ns: int = 0
-    #: READ request retransmission timer.
-    request_timer: Optional[Event] = None
+    #: READ request retransmission timer: a handle in the client's ``Timers``.
+    request_timer: Optional[list] = None
 
     @property
     def segment(self) -> Segment:
@@ -152,6 +152,8 @@ class SolarClient:
         self.dpu = None
         self.socket = DatagramSocket(sim, endpoint, "solar")
         self.socket.bind_default(self._on_packet)
+        #: Every packet and read-request timeout; nearly all are cancelled.
+        self._timers = sim.timers()
         self.aggregator = CrcAggregator()
         #: When set (ns), every new path manager gets an INT prober with
         #: this cadence — the §4.5 "explicit path selection" extension.
@@ -331,7 +333,6 @@ class SolarClient:
         wanted = only_pkts if only_pkts is not None else [p.pkt_id for p in rpc.packets]
         if rpc.first_sent_ns is None:
             rpc.first_sent_ns = self.sim.now
-        rpc.request_sent_ns = self.sim.now  # type: ignore[attr-defined]
         self.socket.send(
             rpc.server,
             sport=path.path_id,
@@ -351,8 +352,8 @@ class SolarClient:
 
     def _arm_read_timer(self, rpc: SolarRpc, path: PathState) -> None:
         if rpc.request_timer is not None:
-            rpc.request_timer.cancel()
-        rpc.request_timer = self.sim.schedule(path.rto_ns, self._on_read_timeout, rpc, path)
+            self._timers.cancel(rpc.request_timer)
+        rpc.request_timer = self._timers.add(path.rto_ns, self._on_read_timeout, rpc, path)
 
     def _on_read_timeout(self, rpc: SolarRpc, path: PathState) -> None:
         rpc.request_timer = None
@@ -425,8 +426,8 @@ class SolarClient:
         )
         manager.on_sent(path, size)
         if pkt.timer is not None:
-            pkt.timer.cancel()
-        pkt.timer = self.sim.schedule(path.rto_ns, self._on_pkt_timeout, rpc, pkt)
+            self._timers.cancel(pkt.timer)
+        pkt.timer = self._timers.add(path.rto_ns, self._on_pkt_timeout, rpc, pkt)
 
     def _drain_pending(self, server: str) -> None:
         queue = self._pending.get(server)
@@ -476,7 +477,7 @@ class SolarClient:
             if pkt.acked or rpc.finished:
                 continue
             if pkt.timer is not None:
-                pkt.timer.cancel()
+                self._timers.cancel(pkt.timer)
                 pkt.timer = None
             pkt.retries += 1
             self.retransmissions += 1
@@ -509,7 +510,7 @@ class SolarClient:
             return
         pkt.acked = True
         if pkt.timer is not None:
-            pkt.timer.cancel()
+            self._timers.cancel(pkt.timer)
             pkt.timer = None
         manager = self.paths_to(rpc.server)
         # The ACK names the path by the port it was sent on; if the path
@@ -625,7 +626,7 @@ class SolarClient:
         self.cpu.least_loaded().submit(self.profiles.solar.per_packet_cpu_ns)
         if rpc.done_count >= rpc.total_pkts:
             if rpc.request_timer is not None:
-                rpc.request_timer.cancel()
+                self._timers.cancel(rpc.request_timer)
                 rpc.request_timer = None
             self._finalize_read(rpc)
 
@@ -647,10 +648,10 @@ class SolarClient:
         self.rpcs_completed += 1
         for pkt in rpc.packets:
             if pkt.timer is not None:
-                pkt.timer.cancel()
+                self._timers.cancel(pkt.timer)
                 pkt.timer = None
         if rpc.request_timer is not None:
-            rpc.request_timer.cancel()
+            self._timers.cancel(rpc.request_timer)
             rpc.request_timer = None
         rpc.on_done(rpc, ok)
 

@@ -32,6 +32,11 @@ through which every event enters the queue.  A :class:`Join` (from
 :meth:`Simulator.join`) folds N arrivals into one event; it reserves
 each arrival's ``seq`` here in the kernel and still queues its one
 event through ``schedule_at_fire``.
+
+Timeouts that are almost always cancelled (retransmit timers) wait in a
+:class:`Timers` queue (from :meth:`Simulator.timers`) instead of the
+heap.  The heap holds one more entry shape for them, a *wake-up*
+``(time, seq, timers)``, which is never counted as an event.
 """
 
 from __future__ import annotations
@@ -75,6 +80,9 @@ class Simulator:
         self._ghosts = 0
         self.compactions = 0
         self._seq = 0
+        #: Timers wake-ups in the heap, and live timers off it.
+        self._wakeups = 0
+        self._parked = 0
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -138,6 +146,19 @@ class Simulator:
             raise ValueError(f"a join needs at least one arrival, got {count}")
         return Join(self, count, fn, args)
 
+    def timers(self) -> "Timers":
+        """A new cancellable-timeout queue: see :class:`Timers`."""
+        return Timers(self)
+
+    def _queue_as(self, seq: int, time_ns: int, fn: Callable[..., Any], args: tuple) -> None:
+        """Queue through ``schedule_at_fire`` under an earlier reserved
+        ``seq``, then give the counter back: the event sits where it
+        would have sat had it been queued when ``seq`` was taken."""
+        resume = self._seq
+        self._seq = seq
+        self.schedule_at_fire(time_ns, fn, *args)
+        self._seq = resume
+
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current instant (after pending events)."""
         seq = self._seq
@@ -154,8 +175,9 @@ class Simulator:
         """Run events until the queue drains or ``until`` is reached.
 
         ``until`` is an absolute time and exact: every live event at or
-        before it fires, none after it does (cancelled timers at the
-        head of the queue are skipped before the bound is checked).
+        before it fires, none after it does (cancelled timers and
+        wake-ups at the head of the queue are handled before the bound
+        is checked, and neither moves the clock).
         When no live event at or before ``until`` is left, the clock is
         advanced to ``until`` even if the last event fired earlier
         (matching how a wall-clock experiment of fixed duration behaves);
@@ -176,10 +198,15 @@ class Simulator:
             while heap and not self._stopped:
                 entry = heap[0]
                 event = entry[2]
-                if event is not None and event.cancelled:
-                    pop(heap)
-                    self._ghosts -= 1
-                    continue
+                if event is not None:
+                    if event.__class__ is Timers:
+                        if event._wake(entry, bound):
+                            continue
+                        break
+                    if event.cancelled:
+                        pop(heap)
+                        self._ghosts -= 1
+                        continue
                 if entry[0] > bound:
                     break
                 pop(heap)
@@ -219,7 +246,10 @@ class Simulator:
         """Rebuild the heap without cancelled ghosts, in place: a running
         :meth:`run` holds a reference to the list across callbacks."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if entry[2] is None or not entry[2].cancelled]
+        heap[:] = [
+            entry for entry in heap
+            if entry[2] is None or entry[2].__class__ is Timers or not entry[2].cancelled
+        ]
         heapify(heap)
         self._ghosts = 0
         self.compactions += 1
@@ -229,8 +259,9 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still scheduled (O(1))."""
-        return len(self._heap) - self._ghosts
+        """Number of not-yet-cancelled events still scheduled, live
+        timers included (O(1))."""
+        return len(self._heap) - self._ghosts - self._wakeups + self._parked
 
     def peek_time(self) -> Optional[int]:
         """Absolute time of the next pending event, or None if drained."""
@@ -238,10 +269,15 @@ class Simulator:
         while heap:
             entry = heap[0]
             event = entry[2]
-            if event is not None and event.cancelled:
-                heappop(heap)
-                self._ghosts -= 1
-                continue
+            if event is not None:
+                # A bound below every time: a due timer stays parked.
+                if event.__class__ is Timers:
+                    if event._wake(entry, -1):
+                        continue
+                elif event.cancelled:
+                    heappop(heap)
+                    self._ghosts -= 1
+                    continue
             return entry[0]
         return None
 
@@ -292,10 +328,127 @@ class Join:
         # ``seq`` is unique, so the sort never compares values.
         arrivals.sort()
         last_time, last_seq, _ = arrivals[-1]
-        # Queue through ``schedule_at_fire`` under the last arrival's
-        # reserved seq, then give the counter back: the event sits where
-        # the last of the separate events would have sat.
-        resume = sim._seq
-        sim._seq = last_seq
-        sim.schedule_at_fire(last_time, self._fn, *self._args, [a[2] for a in arrivals])
-        sim._seq = resume
+        # The event sits where the last of the separate events would have.
+        sim._queue_as(last_seq, last_time, self._fn, (*self._args, [a[2] for a in arrivals]))
+
+
+class Timers:
+    """Cancellable timeouts kept off the kernel heap until they are due.
+
+    :meth:`add` takes the ``seq`` that :meth:`Simulator.schedule` would
+    take and returns a handle for :meth:`cancel`.  Timers wait in this
+    queue's own heap; the kernel heap holds only *wake-ups*, at most one
+    live one per queue, never later than the earliest live timer.  A
+    wake-up that finds its timer due queues it through
+    ``schedule_at_fire`` under the timer's own ``seq``, as :class:`Join`
+    does; any other wake-up re-arms at the new earliest timer.  Exact:
+    every timer fires at the ``(time, seq)`` it would have had as an
+    :class:`Event`, and a wake-up is never counted in
+    ``events_processed``, so the only difference is where a cancelled
+    timer waits to be discarded.
+    """
+
+    __slots__ = ("_sim", "_heap", "_dead", "_armed_ns", "_armed_seq")
+
+    def __init__(self, sim: Simulator):
+        self._sim = sim
+        #: ``[time, seq, fn, args]`` handles; ``fn`` is None once
+        #: cancelled or handed to the kernel.  ``seq`` is unique, so the
+        #: heap never compares past it.
+        self._heap: list = []
+        self._dead = 0
+        self._armed_ns = _FOREVER
+        self._armed_seq = -1
+
+    def add(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> list:
+        """Time out ``fn(*args)`` ``delay_ns`` from now; returns the handle."""
+        delay_ns = int(delay_ns)
+        if delay_ns < 0:
+            raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
+        sim = self._sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        time_ns = sim.now + delay_ns
+        timer = [time_ns, seq, fn, args]
+        heappush(self._heap, timer)
+        sim._parked += 1
+        if time_ns < self._armed_ns:
+            # Earlier than the armed wake-up, which stays queued and is
+            # dropped as stale when it comes up.
+            self._armed_ns = time_ns
+            self._armed_seq = seq
+            heappush(sim._heap, (time_ns, seq, self))
+            sim._wakeups += 1
+        return timer
+
+    def cancel(self, timer: list) -> None:
+        """Stop ``timer`` from firing.  Idempotent, and a no-op once fired."""
+        if timer[2] is None:
+            return
+        timer[2] = timer[3] = None
+        self._sim._parked -= 1
+        heap = self._heap
+        if heap[0] is timer:
+            # The re-armed-timeout case: a queue of one stays that size.
+            heappop(heap)
+            return
+        self._dead += 1
+        if self._dead > COMPACT_MIN_GHOSTS and 2 * self._dead > len(heap):
+            heap[:] = [t for t in heap if t[2] is not None]
+            heapify(heap)
+            self._dead = 0
+
+    def _arm(self) -> None:
+        """Queue a wake-up at the earliest live timer, if any."""
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heappop(heap)
+            self._dead -= 1
+        if not heap:
+            self._armed_ns = _FOREVER
+            self._armed_seq = -1
+            return
+        time_ns, seq = heap[0][0], heap[0][1]
+        self._armed_ns = time_ns
+        self._armed_seq = seq
+        sim = self._sim
+        heappush(sim._heap, (time_ns, seq, self))
+        sim._wakeups += 1
+
+    def _wake(self, entry: tuple, bound: float) -> bool:
+        """Handle this queue's wake-up ``entry`` at the head of the
+        kernel heap.  Returns False, leaving it queued, only when it
+        sits at a live timer due after ``bound``."""
+        sim = self._sim
+        kernel = sim._heap
+        seq = entry[1]
+        if seq == self._armed_seq:
+            heap = self._heap
+            while heap and heap[0][2] is None:
+                heappop(heap)
+                self._dead -= 1
+            if heap and heap[0][1] == seq:
+                time_ns = entry[0]
+                if time_ns > bound:
+                    return False
+                timer = heappop(heap)
+                fn, args = timer[2], timer[3]
+                timer[2] = timer[3] = None
+                sim._parked -= 1
+                # Drop this wake-up and any stale copy of it: the timer
+                # itself takes their (time, seq) next.
+                while kernel and kernel[0][1] == seq:
+                    heappop(kernel)
+                    sim._wakeups -= 1
+                self._arm()
+                sim._queue_as(seq, time_ns, fn, args)
+                return True
+            # Its timer was cancelled: re-arm at the earliest live one.
+            heappop(kernel)
+            sim._wakeups -= 1
+            self._arm()
+            return True
+        # Superseded by an earlier wake-up, or its timer already gone.
+        heappop(kernel)
+        sim._wakeups -= 1
+        return True

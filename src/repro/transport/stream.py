@@ -28,7 +28,6 @@ from ..host.cpu import CpuComplex
 from ..net.endpoint import Endpoint
 from ..net.packet import Packet
 from ..sim.engine import Simulator
-from ..sim.events import Event
 from .base import RpcCallback, RpcExchange, RpcTransport
 
 _msg_ids = itertools.count(1)
@@ -91,7 +90,7 @@ class _Side:
 
     __slots__ = (
         "endpoint", "cpu", "transport", "queue", "current", "cwnd",
-        "ssthresh", "rto_ns", "rto_event", "dupacks", "recover_until",
+        "ssthresh", "rto_ns", "rto_timers", "rto_timer", "dupacks", "recover_until",
     )
 
     def __init__(self, endpoint: Endpoint, cpu: CpuComplex, transport: "StreamTransport"):
@@ -103,7 +102,8 @@ class _Side:
         self.cwnd: float = 0.0  # set from config at connection start
         self.ssthresh: float = 0.0
         self.rto_ns: int = 0
-        self.rto_event: Optional[Event] = None
+        self.rto_timers = transport.sim.timers()
+        self.rto_timer: Optional[list] = None
         self.dupacks = 0
         self.recover_until = -1
 
@@ -335,16 +335,16 @@ class StreamConnection:
     def _arm_rto(self, sender: str) -> None:
         side = self.sides[sender]
         self._cancel_rto(side)
-        side.rto_event = self.sim.schedule(side.rto_ns, self._on_rto, sender)
+        side.rto_timer = side.rto_timers.add(side.rto_ns, self._on_rto, sender)
 
     def _cancel_rto(self, side: _Side) -> None:
-        if side.rto_event is not None:
-            side.rto_event.cancel()
-            side.rto_event = None
+        if side.rto_timer is not None:
+            side.rto_timers.cancel(side.rto_timer)
+            side.rto_timer = None
 
     def _on_rto(self, sender: str) -> None:
         side = self.sides[sender]
-        side.rto_event = None
+        side.rto_timer = None
         msg = side.current
         if msg is None or msg.failed:
             return

@@ -6,6 +6,11 @@ queue the same callback in the same ``(time, seq)`` order without one.
 A call whose result is thrown away pays for an object nobody can
 cancel, so model code must use the ``_fire`` form there.
 
+No model code keeps one either: a timeout that may be cancelled goes in
+a ``Timers`` queue (``Simulator.timers()``), so no module under ``src``
+calls ``schedule``/``schedule_at`` at all.  The methods stay, because
+tests and outside tools call and wrap them by name.
+
 Only the kernel touches the queue: the ``schedule*`` methods are the
 one seam through which events enter it, so no module outside
 ``repro/sim/engine.py`` may read or write ``._heap`` or ``._seq``.
@@ -52,6 +57,36 @@ def test_guard_sees_a_discarded_event(tmp_path):
         "    self.sim.schedule_fire(5, self.tick)\n"
     )
     assert _discarded_events(module, tmp_path) == ["model.py:2", "model.py:3"]
+
+
+def _event_calls(path: Path, root: Path = SRC) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("schedule", "schedule_at")
+        and _is_simulator(node.func.value)
+    ]
+
+
+def test_no_event_scheduled():
+    found = [site for path in sorted(SRC.rglob("*.py")) for site in _event_calls(path)]
+    assert found == [], f"use schedule_fire/schedule_at_fire or Simulator.timers(): {found}"
+
+
+def test_guard_sees_a_kept_event(tmp_path):
+    module = tmp_path / "model.py"
+    module.write_text(
+        "def arm(self, dep):\n"
+        "    self.timer = self.sim.schedule(5, self.tick)\n"
+        "    timers.append(dep.sim.schedule_at(9, self.tick))\n"
+        "    self.sim.schedule_fire(5, self.tick)\n"
+        "    self.timer = self.timers.add(5, self.tick)\n"
+        "    fault.schedule(self.sim, topology)\n"
+    )
+    assert _event_calls(module, tmp_path) == ["model.py:2", "model.py:3"]
 
 
 KERNEL = Path("repro", "sim", "engine.py")

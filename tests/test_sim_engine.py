@@ -20,6 +20,7 @@ from repro.sim import (
     US,
     format_ns,
 )
+from repro.sim import engine
 from repro.sim.engine import COMPACT_MIN_GHOSTS
 
 
@@ -520,3 +521,161 @@ class TestTimeHelpers:
         assert format_ns(3 * SECOND) == "3.000s"
         assert format_ns(None) == "∞"
 
+
+
+class TimersAgainstScheduleCancel(RuleBasedStateMachine):
+    """``Timers`` against the cancellable events it replaces: one
+    simulator keeps its timeouts in two ``Timers`` queues, the other
+    schedules each as an ``Event`` and cancels it.  Both get the same
+    foreign events (fire-and-forget and cancellable), runs, stops and
+    compactions; fire order, clock, ``events_processed``,
+    ``pending_events`` and ``peek_time`` must match after every step.
+    The compaction threshold is lowered so compactions happen."""
+
+    timers = Bundle("timers")
+    foreign = Bundle("foreign")
+
+    def __init__(self):
+        super().__init__()
+        self._threshold = engine.COMPACT_MIN_GHOSTS
+        engine.COMPACT_MIN_GHOSTS = 2
+        self.sim = Simulator()
+        self.ref = Simulator()
+        self.queues = [self.sim.timers(), self.sim.timers()]
+        self.fired = {self.sim: [], self.ref: []}
+        self.tags = itertools.count()
+
+    def teardown(self):
+        engine.COMPACT_MIN_GHOSTS = self._threshold
+
+    def _callback(self, sim, tag, child, stops):
+        self.fired[sim].append((sim.now, tag))
+        if child is not None:
+            queue, delay = child
+            if sim is self.sim:
+                self.queues[queue].add(delay, self._callback, sim, (tag, "child"), None, False)
+            else:
+                sim.schedule(delay, self._callback, sim, (tag, "child"), None, False)
+        if stops:
+            sim.stop()
+
+    @rule(target=timers, queue=st.sampled_from([0, 1]), delay=st.integers(0, 30),
+          child=st.none() | st.tuples(st.sampled_from([0, 1]), st.integers(0, 30)),
+          stops=st.booleans())
+    def add(self, queue, delay, child, stops):
+        tag = next(self.tags)
+        handle = self.queues[queue].add(delay, self._callback, self.sim, tag, child, stops)
+        event = self.ref.schedule(delay, self._callback, self.ref, tag, child, stops)
+        return queue, handle, event
+
+    @rule(timer=timers)
+    def cancel(self, timer):
+        queue, handle, event = timer
+        self.queues[queue].cancel(handle)
+        event.cancel()
+
+    @rule(target=foreign, delay=st.integers(0, 30), cancellable=st.booleans())
+    def foreign_event(self, delay, cancellable):
+        tag = ("foreign", next(self.tags))
+        if not cancellable:
+            for sim in (self.sim, self.ref):
+                sim.schedule_fire(delay, self._callback, sim, tag, None, False)
+            return None
+        return [sim.schedule(delay, self._callback, sim, tag, None, False)
+                for sim in (self.sim, self.ref)]
+
+    @rule(events=foreign)
+    def cancel_foreign(self, events):
+        for event in events or ():
+            event.cancel()
+
+    @rule(span=st.integers(0, 40))
+    def run_until(self, span):
+        until = self.sim.now + span
+        assert self.sim.run(until=until) == self.ref.run(until=until)
+
+    @rule()
+    def run_all(self):
+        assert self.sim.run() == self.ref.run()
+
+    @rule()
+    def compact(self):
+        self.sim._compact()
+        self.ref._compact()
+
+    @invariant()
+    def same_fired(self):
+        assert self.fired[self.sim] == self.fired[self.ref]
+
+    @invariant()
+    def same_counts(self):
+        assert self.sim.now == self.ref.now
+        assert self.sim.events_processed == self.ref.events_processed
+        assert self.sim.pending_events == self.ref.pending_events
+
+    @invariant()
+    def same_peek(self):
+        assert self.sim.peek_time() == self.ref.peek_time()
+
+
+TimersAgainstScheduleCancel.TestCase.settings = settings(
+    max_examples=300, stateful_step_count=50, deadline=None
+)
+TestTimersAgainstScheduleCancel = TimersAgainstScheduleCancel.TestCase
+
+
+class TestTimers:
+    def test_wake_ups_are_not_events(self):
+        sim = Simulator()
+        timers = sim.timers()
+        fired = []
+        handles = [timers.add(10 * i, fired.append, i) for i in range(1, 6)]
+        for handle in handles[:4]:
+            timers.cancel(handle)
+        sim.schedule_fire(35, fired.append, "foreign")
+        assert sim.pending_events == 2
+        assert sim.run() == 2
+        assert fired == ["foreign", 5]
+        assert sim.events_processed == 2 and sim.now == 50
+
+    def test_earlier_timer_supersedes_the_armed_wake_up(self):
+        sim = Simulator()
+        timers = sim.timers()
+        fired = []
+        late = timers.add(100, fired.append, "late")
+        timers.add(10, fired.append, "early")
+        timers.add(100, fired.append, "tie")
+        assert sim.peek_time() == 10
+        sim.run(until=50)
+        assert fired == ["early"] and sim.pending_events == 2
+        timers.cancel(late)
+        assert sim.peek_time() == 100
+        sim.run()
+        assert fired == ["early", "tie"] and sim.events_processed == 2
+
+    def test_cancel_after_fire_is_a_no_op(self):
+        sim = Simulator()
+        timers = sim.timers()
+        handle = timers.add(5, lambda: None)
+        sim.run()
+        timers.cancel(handle)
+        timers.cancel(handle)
+        assert sim.pending_events == 0
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().timers().add(-1, lambda: None)
+
+    def test_re_armed_timeout_keeps_storage_bounded(self):
+        # The RTO pattern: every step cancels the armed timeout and arms
+        # a later one.  The kernel heap holds one wake-up, the queue's own
+        # heap stays within a constant factor of the live timers.
+        sim = Simulator()
+        timers = sim.timers()
+        handle = timers.add(1_000_000, lambda: None)
+        for step in range(5_000):
+            timers.cancel(handle)
+            handle = timers.add(1_000_000 + step, lambda: None)
+        assert sim.pending_events == 1
+        assert len(sim._heap) == 1
+        assert len(timers._heap) <= 2 * COMPACT_MIN_GHOSTS + 2

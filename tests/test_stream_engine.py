@@ -96,7 +96,7 @@ class TestConnectionMechanics:
         sim.run(until=sim.now + 100 * MS)
         conn = client._pools[server.endpoint.name][0]
         for side in conn.sides.values():
-            assert side.rto_event is None
+            assert side.rto_timer is None
 
     def test_ack_packets_are_small(self):
         assert ACK_BYTES < 100
