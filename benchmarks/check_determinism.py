@@ -76,22 +76,22 @@ from repro.scenario import (
 from repro.sim import MS
 from repro.workloads import FioJob, FioSpec
 
-KERNEL_EVENTS = 926_114
-KERNEL_IOS = 18_127
+KERNEL_EVENTS = 813_196
+KERNEL_IOS = 18_121
 
-FLEET_DIGEST = "3e31cdb63457b42d39cd4023f286b1858b43ad190fb8180582fff57950f03e23"
-FLEET_EVENTS = 156_357
-FLEET_IOS = 3_257
+FLEET_DIGEST = "19f8b9a74bf9d827fc719fa506c69578caf37559fd630e4ece0d35143d885586"
+FLEET_EVENTS = 147_982
+FLEET_IOS = 3_250
 FLEET_WORKERS = (1, 2)
 
-SCENARIO_COMBINED_DIGEST = "344b8a737230db03"
+SCENARIO_COMBINED_DIGEST = "1f78498f0a482121"
 SCENARIO_DIGESTS = {
-    "incast-burst": "d57885c94c1f375c",
-    "rebuild-storm": "751b78968f6b3383",
-    "msr@luna": "901972979d90d5c0",
-    "msr@solar": "614b4feac14d9804",
-    "alibaba@luna": "1985809d69a624ce",
-    "alibaba@solar": "8d32dc60c4c1aa05",
+    "incast-burst": "95490545d453b432",
+    "rebuild-storm": "13bbf81f72f88bc7",
+    "msr@luna": "235fa0c9c233108a",
+    "msr@solar": "120ae33287bffee0",
+    "alibaba@luna": "c4992f8342018390",
+    "alibaba@solar": "dc1dc4fcb5b35f28",
 }
 
 REPLAY_DIGESTS = {
@@ -101,24 +101,24 @@ REPLAY_DIGESTS = {
     "chaos provision-on-dead-node": "eedd298e58f95d5f",
     "chaos rebuild-source-loss": "abd203eeb30ca221",
     "chaos silent-tor-hang": "1d95d1131b0a6db9",
-    "lab fio@luna": "2ead1eefd650909a",
-    "lab isolated@solar": "d1f2f89a71d4463b",
-    "lab rebuild-reactive": "8f6e3b30c145d4f1",
-    "monitor": "5150514b42ae0898",
-    "lab upgrade kernel->luna": "15c78829a719fc84",
-    "run rebuild (CI drill)": "24cbd1245024b6cc",
-    "run sweep (CI point)": "aa34106a85e9d7de",
+    "lab fio@luna": "1135758a0a516802",
+    "lab isolated@solar": "11f4c4590b74486d",
+    "lab rebuild-reactive": "c414163c296b7ae3",
+    "monitor": "b68b1de23a43bd59",
+    "lab upgrade kernel->luna": "2868b86e91b380a9",
+    "run rebuild (CI drill)": "d6f42f8d5df7f9da",
+    "run sweep (CI point)": "80ab51e750b4871a",
 }
 
 #: ``run examples/specs/ci-fleet.json --json``: the fleet digest, equal
 #: at every worker count.
-CI_FLEET_DIGEST = "2ae34b123752f4993877b4b2f3643c390b09c8dec50164d42d2e9f0c25d3c9e4"
+CI_FLEET_DIGEST = "20d02432aea910fab820bdcb98f84df26d8618bfbdae62e6d9c89bc6f82cdf2a"
 CI_FLEET_WORKERS = (1, 4)
 
 #: The quick subcommands whose stdout and exit status are pinned.
 CLI_DIGESTS = {
-    "compare --size-kb 4": "b147bf5699352f45",
-    "latency --stack solar --kind write --size-kb 16": "cdda138be69093f2",
+    "compare --size-kb 4": "b710db19f29a87de",
+    "latency --stack solar --kind write --size-kb 16": "fb4070cf0ff582f9",
     "failover --stack luna --until-ms 1200": "9bccf532f6dd6f8a",
 }
 

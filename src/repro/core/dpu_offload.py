@@ -208,8 +208,8 @@ class SolarOffload:
         # The logical pipeline runs (validates expressibility + counts
         # table hits); physics below: DMA time then pipeline latency.
         self._run_egress_logic(ctx, block)
-        self.dpu.dma.read_from_guest(
-            block.size_bytes, self._egress_after_dma, block, on_ready
+        self._after_dma(
+            self.dpu.dma.read_from_guest(block.size_bytes), self._egress, block, on_ready
         )
 
     def _run_egress_logic(self, ctx: PipelineContext, block: DataBlock) -> None:
@@ -221,7 +221,16 @@ class SolarOffload:
                 f"egress pipeline dropped block {block!r}: {ctx.dropped}"
             )
 
-    def _egress_after_dma(self, block: DataBlock, on_ready) -> None:
+    def _after_dma(self, dma_done: int, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` once a DMA issued now, done at ``dma_done``,
+        has passed the FPGA pipeline: one event, with no DMA-done event
+        before it.  Exact: the DMA returns its completion at issue, the
+        pipeline latency is fixed, and the event takes its ``seq`` here,
+        where the DMA-done event took its own."""
+        self.sim.schedule_at_fire(dma_done + self.dpu.fpga.pipeline_latency_ns, fn, *args)
+
+    def _egress(self, block: DataBlock, on_ready) -> None:
+        """CRC, SEC and fault hooks, then hand the block to PktGen."""
         true_crc = block.crc
         payload = block.data
         wire_crc = true_crc
@@ -233,8 +242,7 @@ class SolarOffload:
                 payload = self.cipher.encrypt(block.vd_id, block.lba, payload)
         if self.fault_injector is not None:
             wire_crc = self.fault_injector.corrupt_crc(wire_crc, "egress-crc")
-        result = WriteDatapathResult(payload, wire_crc, true_crc)
-        self.dpu.fpga.process(on_ready, result)
+        on_ready(WriteDatapathResult(payload, wire_crc, true_crc))
 
     # ------------------------------------------------------------------
     # READ datapath: wire -> guest memory (Figure 13)
@@ -274,11 +282,10 @@ class SolarOffload:
         if fpga_crc != header_crc:
             self.crc_rejects += 1
         # DMA the block into guest memory, then report to the CPU.
-        result = ReadDatapathResult(True, entry, fpga_crc, header_crc)
-        self.dpu.dma.write_to_guest(entry.length, self._ingress_after_dma, result, on_done)
-
-    def _ingress_after_dma(self, result: ReadDatapathResult, on_done) -> None:
-        self.dpu.fpga.process(on_done, result)
+        self._after_dma(
+            self.dpu.dma.write_to_guest(entry.length),
+            on_done, ReadDatapathResult(True, entry, fpga_crc, header_crc),
+        )
 
     # ------------------------------------------------------------------
     def resource_report(self):

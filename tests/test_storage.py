@@ -497,6 +497,21 @@ class TestChunkAndBlockServers:
         sim.run()
         assert got[0].service_ns > 0
 
+    def test_landing_writes_hold_only_those_in_flight(self):
+        # A write-only stream never reads its chunk store, yet blocks that
+        # completed before a later write arrives must have left the
+        # landing heap, or memory grows with every write.
+        sim = Simulator(seed=4)
+        block_server, chunks, _t, segments = _storage_stack(sim)
+        for lba in range(200):
+            block = DataBlock("vd", lba % 16, BLOCK_SIZE)
+            sim.schedule_at_fire(lba * 100 * US, block_server.handle_write,
+                                 segments[0], block, block.crc, lambda ok, r: None)
+        sim.run(until=200 * 100 * US - 1)
+        assert all(len(c._landing) <= 1 for c in chunks.values())
+        sim.run()
+        assert all(len(c.store) == 16 for c in chunks.values())
+
     def test_bad_chunk_request_kind(self):
         with pytest.raises(ValueError):
             ChunkRequest("erase", "seg", "vd", 0, BLOCK_SIZE)
