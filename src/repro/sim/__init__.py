@@ -5,6 +5,8 @@ Public surface:
 * :class:`Simulator` — the event loop and virtual clock, one binary heap
   of ``(time, seq)``-ordered events with an exact ``run(until=)``;
 * :class:`Event` — a cancellable scheduled callback;
+* ``Simulator.timers()`` — a queue of cancellable timeouts kept off the
+  event heap until they are due;
 * :class:`RngRegistry` — deterministic named randomness streams;
 * time constants ``NS``, ``US``, ``MS``, ``SECOND`` and helpers.
 """
