@@ -152,7 +152,7 @@ class SolarClient:
         self.dpu = None
         self.socket = DatagramSocket(sim, endpoint, "solar")
         self.socket.bind_default(self._on_packet)
-        #: Every packet and read-request timeout; nearly all are cancelled.
+        #: Every packet and read-request timeout; nearly all never fire.
         self._timers = sim.timers()
         self.aggregator = CrcAggregator()
         #: When set (ns), every new path manager gets an INT prober with

@@ -259,13 +259,6 @@ class DpuProfile:
     cpu_ghz: float = 2.1  # Figure 14 caption: 2.1 GHz cores
     ethernet_ports: int = 2
     ethernet_gbps: float = 25.0
-    #: Total FPGA resources available to all hypervisor functions; SOLAR
-    #: must fit in a small slice (Table 3 totals 8.5% LUT / 18.2% BRAM).
-    fpga_total_luts: int = 1_200_000
-    fpga_total_bram_kb: int = 75_000
-    #: Mean time between injected FPGA bit-flip faults under the fault
-    #: model (used only by fault-injection experiments, not normal runs).
-    bitflip_rate_per_gb: float = 0.0
 
 
 @dataclass(frozen=True)

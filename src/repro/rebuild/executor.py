@@ -186,7 +186,7 @@ class RebuildExecutor:
         reply: ChunkReply,
     ) -> None:
         if not self._valid(state, source, chunk, gen):
-            return  # transfer cancelled or chunk reclaimed mid-flight
+            return  # transfer called off or chunk reclaimed mid-flight
         transfer = state.transfer
         lba, size = state.chunks[chunk]
         request = ChunkRequest(

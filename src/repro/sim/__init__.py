@@ -3,17 +3,16 @@
 Public surface:
 
 * :class:`Simulator` — the event loop and virtual clock, one binary heap
-  of ``(time, seq)``-ordered events with an exact ``run(until=)``;
-* :class:`Event` — a cancellable scheduled callback;
+  of ``(time, seq)``-ordered fire-and-forget events with an exact
+  ``run(until=)``;
 * ``Simulator.timers()`` — a queue of cancellable timeouts kept off the
-  event heap until they are due;
+  event heap until they are due, the kernel's one cancellable path;
 * :class:`RngRegistry` — deterministic named randomness streams;
 * time constants ``NS``, ``US``, ``MS``, ``SECOND`` and helpers.
 """
 
 from .engine import SimulationError, Simulator
 from .events import (
-    Event,
     MS,
     NS,
     SECOND,
@@ -25,7 +24,6 @@ from .rng import RngRegistry, derive_seed
 __all__ = [
     "Simulator",
     "SimulationError",
-    "Event",
     "RngRegistry",
     "derive_seed",
     "NS",

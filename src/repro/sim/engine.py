@@ -7,36 +7,26 @@ so a whole EBS deployment runs deterministically from one seed.
 
 Events fire in ``(time, seq)`` order, where ``seq`` is the global
 creation sequence number, so same-instant events fire FIFO.  The queue
-is one binary heap of tuples, so comparisons stay in C (no
-``Event.__lt__`` dispatch per sift step).  Entries come in two shapes,
-told apart by the third slot:
+is one binary heap of tuples, so comparisons stay in C.  Events are
+fire-and-forget: nothing returned by a ``schedule*`` call can cancel
+them.  Entries come in two shapes, told apart by the third slot:
 
-* ``(time, seq, event)`` — a cancellable :class:`Event` (``schedule`` /
-  ``schedule_at`` / ``call_soon``);
-* ``(time, seq, None, fn, args)`` — an **anonymous** fire-and-forget
-  entry (``schedule_fire`` / ``schedule_at_fire``): no Event object is
-  allocated.  Most events in a packet simulation (CPU-work completions,
-  RPC hops, link deliveries) are never cancelled, so skipping the
-  allocation removes the largest per-event constant.  ``seq`` is
-  globally unique, so tuple comparison never reaches the third slot.
+* ``(time, seq, None, fn, args)`` — an event (``schedule_fire`` /
+  ``schedule_at_fire`` / ``call_soon``);
+* ``(time, seq, timers)`` — a :class:`Timers` *wake-up*, never counted
+  as an event.
 
-Cancellation is lazy: a cancelled event stays in the heap as a *ghost*
-(counted in ``_ghosts``) and is skipped when it reaches the head.  When
-ghosts outnumber live events (and exceed :data:`COMPACT_MIN_GHOSTS`) the
-heap is rebuilt without them, so cancel-heavy workloads (timeout/retry
-paths re-arming RTOs per message) cannot grow it without bound.
+``seq`` is globally unique, so tuple comparison never reaches the third
+slot.
 
 Model code schedules only through the ``schedule*``/``call_soon``
 methods and never touches the heap: those methods are the one seam
 through which every event enters the queue.  A :class:`Join` (from
 :meth:`Simulator.join`) folds N arrivals into one event; it reserves
 each arrival's ``seq`` here in the kernel and still queues its one
-event through ``schedule_at_fire``.
-
-Timeouts that are almost always cancelled (retransmit timers) wait in a
-:class:`Timers` queue (from :meth:`Simulator.timers`) instead of the
-heap.  The heap holds one more entry shape for them, a *wake-up*
-``(time, seq, timers)``, which is never counted as an event.
+event through ``schedule_at_fire``.  A timeout that may be called off
+waits in a :class:`Timers` queue (from :meth:`Simulator.timers`), the
+one cancellable path, and reaches the heap as an event only when due.
 """
 
 from __future__ import annotations
@@ -44,10 +34,10 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
-from .events import Event, format_ns
+from .events import format_ns
 from .rng import RngRegistry
 
-#: Compaction floor: never bother rebuilding tiny heaps.
+#: Compaction floor of a :class:`Timers` queue: never rebuild tiny heaps.
 COMPACT_MIN_GHOSTS = 512
 
 _FOREVER = float("inf")
@@ -63,7 +53,7 @@ class Simulator:
     Typical usage::
 
         sim = Simulator(seed=42)
-        sim.schedule(1000, lambda: print("one microsecond in"))
+        sim.schedule_fire(1000, lambda: print("one microsecond in"))
         sim.run()
 
     The simulator also hosts a registry of named deterministic RNG streams
@@ -76,13 +66,7 @@ class Simulator:
         self.seed = seed
         self.rng = RngRegistry(seed)
         self._heap: list = []
-        #: Cancelled events still buried in the heap.
-        self._ghosts = 0
-        self.compactions = 0
         self._seq = 0
-        #: Timers wake-ups in the heap, and live timers off it.
-        self._wakeups = 0
-        self._parked = 0
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -90,38 +74,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay_ns`` after the current time."""
-        delay_ns = int(delay_ns)
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        seq = self._seq
-        self._seq = seq + 1
-        time_ns = self.now + delay_ns
-        event = Event(time_ns, seq, fn, args, self)
-        heappush(self._heap, (time_ns, seq, event))
-        return event
-
-    def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at an absolute simulation time."""
-        time_ns = int(time_ns)
-        if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at {format_ns(time_ns)}; now is {format_ns(self.now)}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time_ns, seq, fn, args, self)
-        heappush(self._heap, (time_ns, seq, event))
-        return event
-
     def schedule_fire(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Like :meth:`schedule`, but fire-and-forget: no :class:`Event`
-        is allocated and nothing is returned, so the timer cannot be
-        cancelled.  Use for the per-packet/per-job completions that are
-        never cancelled — the Event allocation is the largest per-event
-        constant on the hot path.  Ordering is identical to
-        :meth:`schedule` (same ``seq`` allocation)."""
+        """Schedule ``fn(*args)`` to run ``delay_ns`` after the current time."""
         delay_ns = int(delay_ns)
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
@@ -130,7 +84,7 @@ class Simulator:
         heappush(self._heap, (self.now + delay_ns, seq, None, fn, args))
 
     def schedule_at_fire(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Absolute-time variant of :meth:`schedule_fire`."""
+        """Schedule ``fn(*args)`` at an absolute simulation time."""
         time_ns = int(time_ns)
         if time_ns < self.now:
             raise SimulationError(
@@ -139,6 +93,19 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (time_ns, seq, None, fn, args))
+
+    #: The plain names, kept for outside tools that call or wrap them;
+    #: model code uses the ``_fire`` spelling.
+    schedule = schedule_fire
+    schedule_at = schedule_at_fire
+
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at the current instant (after pending events)."""
+        # Its own push, not ``schedule_at_fire``: a tool wrapping both
+        # names would see one event twice.
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now, seq, None, fn, args))
 
     def join(self, count: int, fn: Callable[..., Any], *args: Any) -> "Join":
         """Fold ``count`` arrivals into one event: see :class:`Join`."""
@@ -159,26 +126,17 @@ class Simulator:
         self.schedule_at_fire(time_ns, fn, *args)
         self._seq = resume
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current instant (after pending events)."""
-        seq = self._seq
-        self._seq = seq + 1
-        now = self.now
-        event = Event(now, seq, fn, args, self)
-        heappush(self._heap, (now, seq, event))
-        return event
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[int] = None) -> int:
         """Run events until the queue drains or ``until`` is reached.
 
-        ``until`` is an absolute time and exact: every live event at or
-        before it fires, none after it does (cancelled timers and
-        wake-ups at the head of the queue are handled before the bound
-        is checked, and neither moves the clock).
-        When no live event at or before ``until`` is left, the clock is
+        ``until`` is an absolute time and exact: every event at or
+        before it fires, none after it does (wake-ups at the head of the
+        queue are handled before the bound is checked, and never move
+        the clock).
+        When no event at or before ``until`` is left, the clock is
         advanced to ``until`` even if the last event fired earlier
         (matching how a wall-clock experiment of fixed duration behaves);
         a run cut short by :meth:`stop` leaves it at the last event.
@@ -193,97 +151,48 @@ class Simulator:
         bound = _FOREVER if until is None else until
         start = self.events_processed
         try:
-            # ``_compact`` rebuilds in place, so ``heap`` stays valid
-            # across callbacks.
             while heap and not self._stopped:
                 entry = heap[0]
-                event = entry[2]
-                if event is not None:
-                    if event.__class__ is Timers:
-                        if event._wake(entry, bound):
-                            continue
-                        break
-                    if event.cancelled:
-                        pop(heap)
-                        self._ghosts -= 1
+                timers = entry[2]
+                if timers is not None:
+                    if timers._wake(entry, bound):
                         continue
+                    break
                 if entry[0] > bound:
                     break
                 pop(heap)
                 self.now = entry[0]
                 self.events_processed += 1
-                if event is None:
-                    entry[3](*entry[4])
-                else:
-                    event._sim = None
-                    event.fn(*event.args)
+                entry[3](*entry[4])
         finally:
             self._running = False
-        # Unless stopped, the loop left an empty heap or a live head
-        # after ``until``.
+        # Unless stopped, the loop left an empty heap or an event or due
+        # timer after ``until``.
         if until is not None and not self._stopped and self.now < until:
             self.now = until
         return self.events_processed - start
-
-    def run_for(self, duration_ns: int) -> int:
-        """Run for a relative duration from the current time."""
-        return self.run(until=self.now + int(duration_ns))
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the in-flight event returns."""
         self._stopped = True
 
     # ------------------------------------------------------------------
-    # Cancellation
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        """Called by :meth:`Event.cancel` for an event still queued here."""
-        self._ghosts += 1
-        if self._ghosts > COMPACT_MIN_GHOSTS and 2 * self._ghosts > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without cancelled ghosts, in place: a running
-        :meth:`run` holds a reference to the list across callbacks."""
-        heap = self._heap
-        heap[:] = [
-            entry for entry in heap
-            if entry[2] is None or entry[2].__class__ is Timers or not entry[2].cancelled
-        ]
-        heapify(heap)
-        self._ghosts = 0
-        self.compactions += 1
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still scheduled, live
-        timers included (O(1))."""
-        return len(self._heap) - self._ghosts - self._wakeups + self._parked
-
     def peek_time(self) -> Optional[int]:
-        """Absolute time of the next pending event, or None if drained."""
+        """Absolute time of the next event or live timer, or None if drained."""
         heap = self._heap
         while heap:
             entry = heap[0]
-            event = entry[2]
-            if event is not None:
-                # A bound below every time: a due timer stays parked.
-                if event.__class__ is Timers:
-                    if event._wake(entry, -1):
-                        continue
-                elif event.cancelled:
-                    heappop(heap)
-                    self._ghosts -= 1
-                    continue
-            return entry[0]
+            timers = entry[2]
+            # A bound below every time: a due timer stays parked.
+            if timers is None or not timers._wake(entry, -1):
+                return entry[0]
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator now={format_ns(self.now)} pending={self.pending_events} "
+            f"<Simulator now={format_ns(self.now)} queued={len(self._heap)} "
             f"processed={self.events_processed}>"
         )
 
@@ -335,17 +244,16 @@ class Join:
 class Timers:
     """Cancellable timeouts kept off the kernel heap until they are due.
 
-    :meth:`add` takes the ``seq`` that :meth:`Simulator.schedule` would
-    take and returns a handle for :meth:`cancel`.  Timers wait in this
-    queue's own heap; the kernel heap holds only *wake-ups*, at most one
-    live one per queue, never later than the earliest live timer.  A
-    wake-up that finds its timer due queues it through
+    :meth:`add` takes the ``seq`` that :meth:`Simulator.schedule_fire`
+    would take and returns a handle for :meth:`cancel`.  Timers wait in
+    this queue's own heap; the kernel heap holds only *wake-ups*, at
+    most one live one per queue, never later than the earliest live
+    timer.  A wake-up that finds its timer due queues it through
     ``schedule_at_fire`` under the timer's own ``seq``, as :class:`Join`
     does; any other wake-up re-arms at the new earliest timer.  Exact:
-    every timer fires at the ``(time, seq)`` it would have had as an
-    :class:`Event`, and a wake-up is never counted in
-    ``events_processed``, so the only difference is where a cancelled
-    timer waits to be discarded.
+    a timer that :meth:`cancel` never drops fires at the ``(time, seq)``
+    a ``schedule_fire`` made at :meth:`add` would have had, and a
+    wake-up is never counted in ``events_processed``.
     """
 
     __slots__ = ("_sim", "_heap", "_dead", "_armed_ns", "_armed_seq")
@@ -353,8 +261,8 @@ class Timers:
     def __init__(self, sim: Simulator):
         self._sim = sim
         #: ``[time, seq, fn, args]`` handles; ``fn`` is None once
-        #: cancelled or handed to the kernel.  ``seq`` is unique, so the
-        #: heap never compares past it.
+        #: dropped by :meth:`cancel` or handed to the kernel.  ``seq`` is
+        #: unique, so the heap never compares past it.
         self._heap: list = []
         self._dead = 0
         self._armed_ns = _FOREVER
@@ -371,14 +279,12 @@ class Timers:
         time_ns = sim.now + delay_ns
         timer = [time_ns, seq, fn, args]
         heappush(self._heap, timer)
-        sim._parked += 1
         if time_ns < self._armed_ns:
             # Earlier than the armed wake-up, which stays queued and is
             # dropped as stale when it comes up.
             self._armed_ns = time_ns
             self._armed_seq = seq
             heappush(sim._heap, (time_ns, seq, self))
-            sim._wakeups += 1
         return timer
 
     def cancel(self, timer: list) -> None:
@@ -386,7 +292,6 @@ class Timers:
         if timer[2] is None:
             return
         timer[2] = timer[3] = None
-        self._sim._parked -= 1
         heap = self._heap
         if heap[0] is timer:
             # The re-armed-timeout case: a queue of one stays that size.
@@ -413,7 +318,6 @@ class Timers:
         self._armed_seq = seq
         sim = self._sim
         heappush(sim._heap, (time_ns, seq, self))
-        sim._wakeups += 1
 
     def _wake(self, entry: tuple, bound: float) -> bool:
         """Handle this queue's wake-up ``entry`` at the head of the
@@ -434,21 +338,17 @@ class Timers:
                 timer = heappop(heap)
                 fn, args = timer[2], timer[3]
                 timer[2] = timer[3] = None
-                sim._parked -= 1
                 # Drop this wake-up and any stale copy of it: the timer
                 # itself takes their (time, seq) next.
                 while kernel and kernel[0][1] == seq:
                     heappop(kernel)
-                    sim._wakeups -= 1
                 self._arm()
                 sim._queue_as(seq, time_ns, fn, args)
                 return True
-            # Its timer was cancelled: re-arm at the earliest live one.
+            # Its timer was dropped: re-arm at the earliest live one.
             heappop(kernel)
-            sim._wakeups -= 1
             self._arm()
             return True
         # Superseded by an earlier wake-up, or its timer already gone.
         heappop(kernel)
-        sim._wakeups -= 1
         return True
