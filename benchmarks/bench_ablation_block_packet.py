@@ -69,9 +69,9 @@ def _patch_stream_peak_tracking():
 
     original = StreamConnection.on_data
 
-    def tracked(self, packet):
-        original(self, packet)
-        msg = packet.header("stream")["msg"]
+    def tracked(self, packet, header):
+        original(self, packet, header)
+        msg = header["msg"]
         buffered = sum(msg.received.values()) - msg.cum_received
         if buffered > 0:
             _luna_peak_samples.append(buffered)

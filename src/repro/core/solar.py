@@ -100,7 +100,9 @@ class SolarRpc:
     server: str
     extent: Extent
     packets: List[SolarPacket]
-    on_done: Callable[["SolarRpc", bool], None]
+    #: Fires once, then is dropped, like ``RpcExchange.on_done``: the
+    #: caller's callback holds the state that holds this RPC.
+    on_done: Optional[Callable[["SolarRpc", bool], None]]
     rpc_id: int = field(default_factory=lambda: next(_rpc_ids))
     issued_ns: int = 0
     first_sent_ns: Optional[int] = None
@@ -654,6 +656,7 @@ class SolarClient:
             self._timers.cancel(rpc.request_timer)
             rpc.request_timer = None
         rpc.on_done(rpc, ok)
+        rpc.on_done = None  # fired: see SolarRpc.on_done
 
 
 class SolarServer:

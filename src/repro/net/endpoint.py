@@ -61,7 +61,7 @@ class Endpoint:
         if self._fib_epoch != LINK_STATE_EPOCH[0]:
             fib.clear()
             self._fib_epoch = LINK_STATE_EPOCH[0]
-        flow = (packet.src, packet.dst, packet.sport, packet.dport, packet.proto)
+        flow = packet.flow
         try:
             channel = fib[flow]
         except KeyError:

@@ -22,7 +22,7 @@ receiver is ready to act on the packet and a switch forwards at once.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Protocol
+from typing import Deque, List, Protocol, Tuple
 
 from ..profiles import bytes_time_ns
 from ..sim.engine import Simulator
@@ -94,6 +94,8 @@ class Channel:
         # Accepted, not flushed: less the unfinished frames, the tx counters.
         self._sent_packets = 0
         self._sent_bytes = 0
+        #: Bound once: ``send`` schedules it per frame.
+        self._deliver_bound = self._deliver
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -106,25 +108,37 @@ class Channel:
         if not self._up:
             return False
         size = packet.size_bytes
-        queued = self._settle() + size
-        if queued > self.capacity_bytes:
-            self.dropped += 1
-            return False
-        self.enqueued += 1
         now = self.sim.now
         frames = self._frames
-        if frames and frames[0][0] == now:
-            queued += frames[0][2]  # starts now: still queued for the peak
-        if queued > self.peak_bytes:
-            self.peak_bytes = queued
-        start = self._free_ns if self._free_ns > now else now
+        if self._free_ns <= now:
+            # Idle line: every frame has ended, so none waits and the
+            # new one starts now.  What ``_settle`` would retire goes at once.
+            if size > self.capacity_bytes:
+                self.dropped += 1
+                return False
+            frames.clear()
+            self._frame_bytes = size
+            if size > self.peak_bytes:
+                self.peak_bytes = size
+            start = now
+        else:
+            queued = self._settle() + size
+            if queued > self.capacity_bytes:
+                self.dropped += 1
+                return False
+            if frames[0][0] == now:
+                queued += frames[0][2]  # starts now: still queued for the peak
+            if queued > self.peak_bytes:
+                self.peak_bytes = queued
+            self._frame_bytes += size
+            start = self._free_ns
+        self.enqueued += 1
         end = self._free_ns = start + bytes_time_ns(size, self.gbps)
         frame = [start, end, size, True]
         frames.append(frame)
-        self._frame_bytes += size
         self._sent_packets += 1
         self._sent_bytes += size
-        self.sim.schedule_at_fire(end + self._deliver_ns, self._deliver, packet, frame)
+        self.sim.schedule_at_fire(end + self._deliver_ns, self._deliver_bound, packet, frame)
         return True
 
     def _deliver(self, packet: Packet, frame: List[int]) -> None:
@@ -156,6 +170,11 @@ class Channel:
     def tx_bytes(self) -> int:
         self._settle()
         return self._sent_bytes - self._frame_bytes
+
+    def _int_sample(self) -> Tuple[int, int]:
+        """``(queue_bytes, tx_bytes)`` from one settle: a switch's INT stamp."""
+        queued = self._settle()
+        return queued, self._sent_bytes - self._frame_bytes
 
     @property
     def up(self) -> bool:

@@ -44,7 +44,12 @@ class Packet:
 
     Slotted: the simulator creates one of these per message per hop, so
     the per-instance ``__dict__`` was measurable in both memory and
-    attribute-access time.  Free-form bookkeeping belongs in ``meta``.
+    attribute-access time.
+
+    ``flow`` is fixed at creation: every switch and endpoint on the path
+    reads the same tuple instead of building it per hop.  No module
+    reassigns a 5-tuple field afterwards (an AST test guards that), so
+    the key stays exact.
     """
 
     src: str
@@ -57,12 +62,13 @@ class Packet:
     payload: Optional[bytes] = None
     created_ns: int = 0
     ttl: int = 32
-    pkt_id: int = field(default_factory=lambda: next(_packet_ids))
+    pkt_id: int = field(default_factory=_packet_ids.__next__)
     #: ``None``: switches stamp nothing.  A list: each switch appends one
     #: :class:`IntRecord` per hop.
     int_records: Optional[List[IntRecord]] = None
-    #: Free-form simulation bookkeeping (send timestamps, retry counts...).
-    meta: Dict[str, Any] = field(default_factory=dict)
+    #: The 5-tuple ECMP hashes on.  SOLAR varies ``sport`` per path
+    #: (§4.5: 'use different UDP ports as path IDs').
+    flow: FiveTuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -72,12 +78,7 @@ class Packet:
                 f"payload ({len(self.payload)}B) larger than wire size "
                 f"({self.size_bytes}B)"
             )
-
-    @property
-    def flow(self) -> FiveTuple:
-        """The 5-tuple ECMP hashes on.  SOLAR varies ``sport`` per path
-        (§4.5: 'use different UDP ports as path IDs')."""
-        return (self.src, self.dst, self.sport, self.dport, self.proto)
+        self.flow = (self.src, self.dst, self.sport, self.dport, self.proto)
 
     def header(self, layer: str) -> Dict[str, Any]:
         """Return the named header, raising KeyError with context if absent."""

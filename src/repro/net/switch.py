@@ -49,6 +49,9 @@ class Switch:
         self.blackhole_fraction = 0.0
         self.blackhole_salt = ""
         self.drop_rate = 0.0
+        #: Down, blackholing or dropping: the one flag ``receive`` tests
+        #: before the three fault checks.  Kept by the ``set_*`` methods.
+        self._faulty = False
         self._drop_rng = sim.rng.stream(f"switch/{name}/drop")
         #: Forwarding table: 5-tuple -> egress channel (``None``: no
         #: route), filled on a flow's first packet and cleared whenever
@@ -76,6 +79,7 @@ class Switch:
     # ------------------------------------------------------------------
     def set_up(self, up: bool) -> None:
         self.up = up
+        self._refresh_faulty()
 
     def set_blackhole(self, fraction: float, salt: str = "bh") -> None:
         """Silently drop ``fraction`` of flows (consistent per flow)."""
@@ -83,6 +87,7 @@ class Switch:
             raise ValueError(f"blackhole fraction out of range: {fraction}")
         self.blackhole_fraction = fraction
         self.blackhole_salt = salt
+        self._refresh_faulty()
 
     def set_drop_rate(self, rate: float) -> None:
         """Drop packets uniformly at random (Table 2's 'packet drop rate'
@@ -90,6 +95,12 @@ class Switch:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"drop rate out of range: {rate}")
         self.drop_rate = rate
+        self._refresh_faulty()
+
+    def _refresh_faulty(self) -> None:
+        self._faulty = (
+            not self.up or self.blackhole_fraction > 0.0 or self.drop_rate > 0.0
+        )
 
     def reboot(self, downtime_ns: int) -> None:
         """Fail-stop now, come back after ``downtime_ns``."""
@@ -111,15 +122,16 @@ class Switch:
         routing are judged at that instant.
         """
         self.rx_packets += 1
-        if not self.up:
-            self.dropped_down += 1
-            return
-        if self.blackhole_fraction > 0.0 and self._blackholes(packet):
-            self.dropped_blackhole += 1
-            return
-        if self.drop_rate > 0.0 and self._drop_rng.random() < self.drop_rate:
-            self.dropped_blackhole += 1
-            return
+        if self._faulty:
+            if not self.up:
+                self.dropped_down += 1
+                return
+            if self.blackhole_fraction > 0.0 and self._blackholes(packet):
+                self.dropped_blackhole += 1
+                return
+            if self.drop_rate > 0.0 and self._drop_rng.random() < self.drop_rate:
+                self.dropped_blackhole += 1
+                return
         if packet.ttl <= 0:
             self.dropped_ttl += 1
             return
@@ -128,7 +140,7 @@ class Switch:
         if self._fib_epoch != LINK_STATE_EPOCH[0]:
             fib.clear()
             self._fib_epoch = LINK_STATE_EPOCH[0]
-        flow = (packet.src, packet.dst, packet.sport, packet.dport, packet.proto)
+        flow = packet.flow
         try:
             egress = fib[flow]
         except KeyError:
@@ -136,12 +148,13 @@ class Switch:
         if egress is None:
             self.dropped_no_route += 1
             return
-        if packet.int_records is not None:
+        records = packet.int_records
+        if records is not None:
             # HPCC-style telemetry (§4.8), only on packets whose receiver
             # reads it.
-            packet.int_records.append(
-                IntRecord(self.name, self.sim.now, egress.queue_bytes,
-                          egress.tx_bytes, egress.gbps)
+            queued, tx_bytes = egress._int_sample()
+            records.append(
+                IntRecord(self.name, self.sim.now, queued, tx_bytes, egress.gbps)
             )
         self.forwarded += 1
         egress.send(packet)

@@ -37,7 +37,8 @@ class RpcExchange:
     payload: Any
     request_bytes: int
     response_hint: int  # expected response size (client-side bookkeeping)
-    on_done: RpcCallback
+    #: Fires once, then is dropped (see :meth:`_fire_done`).
+    on_done: Optional[RpcCallback]
     rpc_id: int = field(default_factory=lambda: next(_rpc_ids))
     issued_ns: int = 0
     #: Set when the request message is fully delivered to the server.
@@ -51,6 +52,20 @@ class RpcExchange:
     error: str = ""
     #: Server-side annotations (storage_ns, ssd_ns, ...) for trace splitting.
     meta: Dict[str, Any] = field(default_factory=dict)
+
+    def _fire_done(self, ok: bool) -> None:
+        """Call ``on_done`` once and drop it.
+
+        The caller's callback usually holds the state that holds this
+        exchange, so keeping it would leave every RPC a reference cycle
+        for the cyclic collector.  Both directions can end an exchange
+        (the request exhausts its retries after the server got it, and
+        then the response does too); the second end calls nothing.
+        """
+        on_done = self.on_done
+        if on_done is not None:
+            self.on_done = None
+            on_done(self, ok)
 
     @property
     def rpc_latency_ns(self) -> int:

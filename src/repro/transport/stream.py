@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Optional
 
-from ..host.cpu import CpuComplex
+from ..host.cpu import CpuComplex, CpuCore
 from ..net.endpoint import Endpoint
 from ..net.packet import Packet
 from ..sim.engine import Simulator
@@ -235,8 +235,8 @@ class StreamConnection:
     # ------------------------------------------------------------------
     # Receiving data
     # ------------------------------------------------------------------
-    def on_data(self, packet: Packet) -> None:
-        header = packet.header("stream")
+    def on_data(self, packet: Packet, header: Dict[str, Any]) -> None:
+        """A data segment arrived; ``header`` is its ``stream`` header."""
         msg: Message = header["msg"]
         receiver = packet.dst
         offset, length = header["offset"], header["length"]
@@ -283,8 +283,8 @@ class StreamConnection:
     # ------------------------------------------------------------------
     # ACK processing / loss recovery
     # ------------------------------------------------------------------
-    def on_ack(self, packet: Packet) -> None:
-        header = packet.header("stream_ack")
+    def on_ack(self, packet: Packet, header: Dict[str, Any]) -> None:
+        """An ACK arrived; ``header`` is its ``stream_ack`` header."""
         msg: Message = header["msg"]
         sender = packet.dst  # the ACK's destination is the data sender
         side = self.sides[sender]
@@ -382,6 +382,8 @@ class StreamTransport(RpcTransport):
         self.proto = config.proto
         self._pools: Dict[str, list[StreamConnection]] = {}
         self._rr = itertools.count()
+        #: LUNA: each connection's pinned core, resolved on its first chunk.
+        self._pinned: Dict[StreamConnection, CpuCore] = {}
         endpoint.on_proto(config.proto, self._on_packet)
 
     # ------------------------------------------------------------------
@@ -394,7 +396,10 @@ class StreamTransport(RpcTransport):
         """LUNA pins each connection to a core (share-nothing, §3.2);
         the kernel model steers to the least-loaded core (softirq-ish)."""
         if self.config.proto == "luna":
-            return self.cpu.pinned(f"conn/{conn.sport}")
+            core = self._pinned.get(conn)
+            if core is None:
+                core = self._pinned[conn] = self.cpu.pinned(f"conn/{conn.sport}")
+            return core
         return self.cpu.least_loaded()
 
     @property
@@ -444,10 +449,12 @@ class StreamTransport(RpcTransport):
     # Packet demux
     # ------------------------------------------------------------------
     def _on_packet(self, packet: Packet) -> None:
-        if "stream_ack" in packet.headers:
-            packet.header("stream_ack")["conn"].on_ack(packet)
+        header = packet.headers.get("stream_ack")
+        if header is not None:
+            header["conn"].on_ack(packet, header)
         else:
-            packet.header("stream")["conn"].on_data(packet)
+            header = packet.header("stream")
+            header["conn"].on_data(packet, header)
 
     # ------------------------------------------------------------------
     # Message completion hooks (called by connections)
@@ -472,7 +479,7 @@ class StreamTransport(RpcTransport):
             exchange.completed_ns = self.sim.now
             exchange.ok = True
             self.rpcs_completed += 1
-            exchange.on_done(exchange, True)
+            exchange._fire_done(True)
 
     def _message_failed(self, conn: StreamConnection, msg: Message) -> None:
         exchange = msg.exchange
@@ -480,4 +487,4 @@ class StreamTransport(RpcTransport):
         exchange.ok = False
         exchange.error = f"{msg.kind} message exhausted retries"
         self.rpcs_failed += 1
-        exchange.on_done(exchange, False)
+        exchange._fire_done(False)

@@ -209,6 +209,27 @@ class TestChannel:
         sim.run()
         assert ch.tx_packets == 1 and ch.tx_bytes == 700
 
+    def test_send_at_the_serialization_end_finds_the_line_idle(self):
+        """At the instant the last frame ends, the line is free: the next
+        frame starts at once and nothing waits."""
+        sim = Simulator()
+        dst = _ArrivalLog(sim, "dst")
+        ch = Channel(sim, "src->dst", _Sink("src"), dst, 10.0, 500, 100_000)
+        ch.send(make_packet(size=1250))  # on the wire 0..1000
+        sim.schedule_at_fire(1_000, ch.send, make_packet(size=2500))
+        sim.run(until=1_000)
+        assert ch.queue_bytes == 0 and ch.tx_packets == 1
+        assert ch.peak_bytes == 2500
+        sim.run()
+        assert [at for at, _ in dst.arrivals] == [1_500, 3_500]
+
+    def test_idle_line_drops_a_frame_over_capacity(self):
+        sim = Simulator()
+        ch = Channel(sim, "src->dst", _Sink("src"), _Sink("dst"), 10.0, 500, 1_000)
+        assert ch.send(make_packet(size=1_001)) is False
+        assert (ch.enqueued, ch.dropped, ch.peak_bytes) == (0, 1, 0)
+        assert ch.send(make_packet(size=1_000)) is True
+
 
 class _TwoEventChannel:
     """Reference model: the channel as two events per frame over an
@@ -306,7 +327,9 @@ class ChannelAgainstTwoEventModel(RuleBasedStateMachine):
             self.sim, self.want, self.GBPS, self.PROP, self.CAPACITY
         )
 
-    @rule(size=st.integers(64, 9000))
+    # Frames around the capacity too: one over it is dropped even by an
+    # idle line.
+    @rule(size=st.integers(64, 9000) | st.integers(CAPACITY - 64, CAPACITY + 64))
     def send(self, size):
         packet = make_packet(size=size)
         assert self.channel.send(packet) == self.model.send(packet)
@@ -448,6 +471,34 @@ class TestSwitchHop:
         assert got == [plain, stamped]
         assert plain.int_records is None
         assert [r.switch for r in stamped.int_records] == ["tor"]
+
+    def test_int_stamp_reads_the_settled_egress(self):
+        """A frame that ended before the stamp, with no send since to
+        settle the egress, counts as sent and no longer waits."""
+        sim = Simulator()
+        tor, hosts, _uplinks = self._rack(sim)
+        got = []
+        hosts["h1"].on_default(got.append)
+        hosts["h0"].send(make_packet(src="h0", dst="h1", size=1250))
+        sim.run()
+        stamped = Packet("h0", "h1", 1000, 2000, "udp", 1500, int_records=[])
+        hosts["h0"].send(stamped)
+        sim.run()
+        (record,) = stamped.int_records
+        assert (record.queue_bytes, record.tx_bytes) == (0, 1250)
+        assert tor.ports["h1"].tx_bytes == 1250 + 1500
+
+    def test_drop_rate_drops_and_clears(self):
+        sim = Simulator()
+        tor, hosts, _uplinks = self._rack(sim)
+        tor.set_drop_rate(1.0)
+        arrived = self._send(sim, hosts)
+        sim.run()
+        assert arrived == [] and tor.dropped_blackhole == 1
+        tor.set_drop_rate(0.0)
+        hosts["h0"].send(make_packet(src="h0", dst="h1", size=1250))
+        sim.run()
+        assert len(arrived) == 1 and tor.forwarded == 1
 
 
 class TestEcmp:
