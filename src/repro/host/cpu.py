@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 from heapq import heapreplace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..sim.engine import Simulator
 
@@ -75,7 +75,6 @@ class CpuComplex:
         self.cores: List[CpuCore] = [
             CpuCore(sim, f"{name}/c{i}", ghz) for i in range(cores)
         ]
-        self._pin_cache: Dict[str, CpuCore] = {}
         #: ``(busy_until, index, core)`` per core, a min-heap for
         #: :meth:`least_loaded`; an entry may lag its core (see there).
         self._load = [(0, i, core) for i, core in enumerate(self.cores)]
@@ -86,13 +85,10 @@ class CpuComplex:
         Uses crc32 rather than builtin ``hash`` — string hashing is salted
         per process (PYTHONHASHSEED), which would make core collisions, and
         therefore simulated timings, vary between interpreter invocations.
-        The mapping is memoized (it is hit once per chunk per connection).
+        Callers on a hot path memoize the result (LUNA does, per
+        connection).
         """
-        core = self._pin_cache.get(key)
-        if core is None:
-            core = self.cores[zlib.crc32(key.encode()) % len(self.cores)]
-            self._pin_cache[key] = core
-        return core
+        return self.cores[zlib.crc32(key.encode()) % len(self.cores)]
 
     def least_loaded(self) -> CpuCore:
         """Pick the core that would start new work soonest: the lowest
